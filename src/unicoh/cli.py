@@ -336,32 +336,12 @@ def _foundation_checks(max_rank: int = 3) -> list[dl.CheckResult]:
     checks: list[dl.CheckResult] = []
 
     for n in range(1, max_rank + 2):
-        table = wc.character_table_sym(n)
-        order = table.group_order
-        bad = order != factorial(n)
-        for i in range(len(table.labels)):
-            for j in range(i, len(table.labels)):
-                ip = sum(
-                    s * table.values[i][k] * table.values[j][k]
-                    for k, s in enumerate(table.class_sizes)
-                )
-                if ip != (order if i == j else 0):
-                    bad = True
-        checks.append(dl.CheckResult(f"character-orthogonality (S_{n})", not bad))
+        ok = wc.character_table_sym(n).is_orthogonal(factorial(n))
+        checks.append(dl.CheckResult(f"character-orthogonality (S_{n})", ok))
 
     for a in range(1, max_rank + 1):
-        table = wc.character_table_typeb(a)
-        order = table.group_order
-        bad = order != 2**a * factorial(a)
-        for i in range(len(table.labels)):
-            for j in range(i, len(table.labels)):
-                ip = sum(
-                    s * table.values[i][k] * table.values[j][k]
-                    for k, s in enumerate(table.class_sizes)
-                )
-                if ip != (order if i == j else 0):
-                    bad = True
-        checks.append(dl.CheckResult(f"character-orthogonality (W_{a})", not bad))
+        ok = wc.character_table_typeb(a).is_orthogonal(2**a * factorial(a))
+        checks.append(dl.CheckResult(f"character-orthogonality (W_{a})", ok))
 
     for a in range(max_rank + 1):
         brute = wc.SignedPermutationGroup(a).class_sizes()

@@ -17,6 +17,7 @@ pattern is not the expected one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import VerificationError
@@ -50,17 +51,24 @@ class CohomologyTable:
     variety: str
     entries: tuple[CohomologyEntry, ...]
 
+    @cached_property
+    def _index(self) -> dict[int, dict[int, CohomologyEntry]]:
+        """degree -> exponent -> entry, the first entry winning a repeated pair.
+        Derived from `entries`, so not part of equality or the JSON."""
+        index: dict[int, dict[int, CohomologyEntry]] = {}
+        for e in self.entries:
+            index.setdefault(e.degree, {}).setdefault(e.frobenius_exponent, e)
+        return index
+
     def degrees(self) -> list[int]:
-        return sorted({e.degree for e in self.entries})
+        return sorted(self._index)
 
     def at(self, degree: int) -> tuple[CohomologyEntry, ...]:
-        return tuple(e for e in self.entries if e.degree == degree)
+        return tuple(self._index.get(degree, {}).values())
 
     def eigenspace(self, degree: int, exponent: int) -> RepMultiset:
-        for e in self.entries:
-            if e.degree == degree and e.frobenius_exponent == exponent:
-                return e.constituents
-        return RepMultiset()
+        entry = self._index.get(degree, {}).get(exponent)
+        return RepMultiset() if entry is None else entry.constituents
 
     def degree_constituents(self, degree: int) -> dict[SymbolLabel, int]:
         """All constituents in one degree, across eigenvalues (so possibly
@@ -119,10 +127,6 @@ class CohomologyTable:
         )
 
 
-def _single(label: SymbolLabel) -> RepMultiset:
-    return RepMultiset((label,))
-
-
 # -- Coxeter varieties ------------------------------------------------------
 
 
@@ -141,16 +145,11 @@ def coxeter_cohomology(k: int) -> CohomologyTable:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    entries = []
-    for i in range(k):
-        entries.append(
-            CohomologyEntry(k + i, 2 * i, _single(to_symbol(coxeter_hook(k, 2 * i))))
-        )
-        entries.append(
-            CohomologyEntry(k + i, 2 * i + 1, _single(to_symbol(coxeter_hook(k, 2 * i + 1))))
-        )
-    entries.append(CohomologyEntry(2 * k, 2 * k, _single(to_symbol(coxeter_hook(k, 2 * k)))))
-    return CohomologyTable(variety=f"coxeter(k={k})", entries=tuple(entries))
+    entries = tuple(
+        CohomologyEntry(k + a // 2, a, RepMultiset((to_symbol(coxeter_hook(k, a)),)))
+        for a in range(2 * k + 1)
+    )
+    return CohomologyTable(variety=f"coxeter(k={k})", entries=entries)
 
 
 def coxeter_eigenspace_dim(k: int, a: int) -> IntPolynomial:
@@ -237,25 +236,6 @@ def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:
     return via_pieri
 
 
-def eo_stratum_cohomology(theta: int, theta_prime: int) -> CohomologyTable:
-    """Cohomology of one Ekedahl-Oort stratum, supported in degrees
-    theta_prime..2*theta_prime with two eigenspaces per degree below the top."""
-    _check_stratum_args(theta, theta_prime)
-    entries = []
-    for i in range(theta_prime):
-        degree = theta_prime + i
-        entries.append(CohomologyEntry(degree, 2 * i, stratum_term(theta, theta_prime, 2 * i)))
-        entries.append(
-            CohomologyEntry(degree, 2 * i + 1, stratum_term(theta, theta_prime, 2 * i + 1))
-        )
-    entries.append(
-        CohomologyEntry(2 * theta_prime, 2 * theta_prime, stratum_term(theta, theta_prime, 2 * theta_prime))
-    )
-    return CohomologyTable(
-        variety=f"eo-stratum(theta={theta}, theta'={theta_prime})", entries=tuple(entries)
-    )
-
-
 @dataclass(frozen=True)
 class SpectralCell:
     column: int
@@ -263,39 +243,68 @@ class SpectralCell:
     parts: tuple[tuple[int, RepMultiset], ...]
 
 
-@dataclass(frozen=True)
 class SpectralPage:
-    """First page of the stratification spectral sequence, column per stratum."""
+    """First page of the stratification spectral sequence for one theta: maps
+    each cell (theta', a), in column theta' and degree theta' + a // 2, to its
+    stratum term, built on first use by the module-level `stratum_term` (so its
+    guards run) and kept, with its dimension, for the life of the page."""
 
-    theta: int
-    cells: tuple[SpectralCell, ...]
+    def __init__(self, theta: int):
+        if theta < 0:
+            raise ValueError("theta must be nonnegative")
+        self.theta = theta
+        self._terms: dict[tuple[int, int], RepMultiset] = {}
+        self._dims: dict[tuple[int, int], IntPolynomial] = {}
+
+    def term(self, theta_prime: int, a: int) -> RepMultiset:
+        if (theta_prime, a) not in self._terms:
+            self._terms[theta_prime, a] = stratum_term(self.theta, theta_prime, a)
+        return self._terms[theta_prime, a]
+
+    def dimension(self, theta_prime: int, a: int) -> IntPolynomial:
+        if (theta_prime, a) not in self._dims:
+            self._dims[theta_prime, a] = self.term(theta_prime, a).dimension_poly()
+        return self._dims[theta_prime, a]
 
     def cell(self, column: int, degree: int) -> Optional[SpectralCell]:
-        for c in self.cells:
-            if c.column == column and c.degree == degree:
-                return c
-        return None
+        if not (0 <= column <= self.theta and column <= degree <= 2 * column):
+            return None
+        exponents = range(2 * (degree - column), min(2 * (degree - column) + 2, 2 * column + 1))
+        return SpectralCell(column, degree, tuple((a, self.term(column, a)) for a in exponents))
+
+    @property
+    def cells(self) -> tuple[SpectralCell, ...]:
+        """Every cell, column by column and by increasing degree."""
+        return tuple(self.cell(c, d) for c in range(self.theta + 1) for d in range(c, 2 * c + 1))
 
 
 def spectral_first_page(theta: int) -> SpectralPage:
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    cells = []
-    for theta_prime in range(theta + 1):
-        table = eo_stratum_cohomology(theta, theta_prime)
-        for degree in table.degrees():
-            parts = tuple((e.frobenius_exponent, e.constituents) for e in table.at(degree))
-            cells.append(SpectralCell(column=theta_prime, degree=degree, parts=parts))
-    return SpectralPage(theta=theta, cells=tuple(cells))
+    page = SpectralPage(theta)
+    page.cells  # build every cell now, so that a faulty stratum term raises here
+    return page
+
+
+def eo_stratum_cohomology(
+    theta: int, theta_prime: int, page: SpectralPage | None = None
+) -> CohomologyTable:
+    """Cohomology of one Ekedahl-Oort stratum, supported in degrees
+    theta_prime..2*theta_prime with two eigenspaces per degree below the top.
+    Terms are read from `page`, a page for the same theta, when one is given."""
+    _check_stratum_args(theta, theta_prime)
+    page = page or SpectralPage(theta)
+    entries = tuple(
+        CohomologyEntry(theta_prime + a // 2, a, page.term(theta_prime, a))
+        for a in range(2 * theta_prime + 1)
+    )
+    return CohomologyTable(f"eo-stratum(theta={theta}, theta'={theta_prime})", entries)
 
 
 # -- the closed stratum ------------------------------------------------------
 
 
-def _eigen_chain(theta: int, a: int) -> list[RepMultiset]:
+def _eigen_chain(page: SpectralPage, a: int) -> list[RepMultiset]:
     """Terms carrying eigenvalue exponent a, by increasing stratum index."""
-    start = (a + 1) // 2
-    return [stratum_term(theta, tp, a) for tp in range(start, theta + 1)]
+    return [page.term(tp, a) for tp in range((a + 1) // 2, page.theta + 1)]
 
 
 def _chain_head(theta: int, a: int, chain: list[RepMultiset]) -> RepMultiset:
@@ -327,18 +336,21 @@ def _chain_head(theta: int, a: int, chain: list[RepMultiset]) -> RepMultiset:
     return head
 
 
-def stratum_cohomology(theta: int) -> CohomologyTable:
+def stratum_cohomology(theta: int, page: SpectralPage | None = None) -> CohomologyTable:
     """Cohomology of the closed stratum, assembled from the first page.
 
     For each exponent a the surviving constituents are those of the leading
     chain term not shared with its successor; they sit in degree a, so
-    Frobenius acts by (-q)**degree throughout.
+    Frobenius acts by (-q)**degree throughout.  Terms are read from `page`, a
+    page for the same theta, when one is given; otherwise each exponent chain
+    gets a page of its own, dropped before the next, so the whole page is
+    never held at once.
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     entries = []
     for a in range(2 * theta + 1):
-        head = _chain_head(theta, a, _eigen_chain(theta, a))
+        head = _chain_head(theta, a, _eigen_chain(page or SpectralPage(theta), a))
         entries.append(CohomologyEntry(degree=a, frobenius_exponent=a, constituents=head))
     return CohomologyTable(variety=f"closed-stratum(theta={theta})", entries=tuple(entries))
 
@@ -412,33 +424,40 @@ def verify_stratum(theta: int) -> StratumVerification:
     constituents between degrees i and 2*theta - i, (3) Frobenius exponent
     equals the degree, (4) Euler characteristics add up over the strata,
     (5) per-exponent alternating dimension sums telescope to the answer.
-    All dimension identities are exact polynomial identities in q.  An
-    engine-level VerificationError inside a check is reported as a failure
-    of that check rather than aborting the run.
+    All dimension identities are exact polynomial identities in q.  Each call
+    builds one first page (one `stratum_term` call per cell, each cell's
+    dimension at most once) and assembles the table from it once; all checks
+    read these, and nothing is kept between calls.  A VerificationError while
+    building them fails all five checks with its message as details; one
+    inside a check fails only that check.  Other exceptions propagate.
     """
     checks: list[CheckResult] = []
     prefix = f"(theta={theta})"
     closed = closed_stratum_cohomology(theta)
+    page = SpectralPage(theta)
+    build_failure: list[str] = []
+    try:
+        table = stratum_cohomology(theta, page)
+    except VerificationError as exc:
+        build_failure = [str(exc)]
 
     def run(name, body):
         try:
-            failures = body()
+            failures = build_failure or body()
         except VerificationError as exc:
             failures = [str(exc)]
         checks.append(CheckResult(f"{name} {prefix}", not failures, "; ".join(failures)))
 
     def equality_check():
-        computed = stratum_cohomology(theta)
+        keys = {(e.degree, e.frobenius_exponent) for t in (table, closed) for e in t.entries}
         return [
-            f"H^{degree} exponent {a}: {computed.eigenspace(degree, a)!r} != "
+            f"H^{degree} exponent {a}: {table.eigenspace(degree, a)!r} != "
             f"{closed.eigenspace(degree, a)!r}"
-            for degree in range(2 * theta + 1)
-            for a in range(2 * theta + 1)
-            if computed.eigenspace(degree, a) != closed.eigenspace(degree, a)
+            for degree, a in sorted(keys)
+            if table.eigenspace(degree, a) != closed.eigenspace(degree, a)
         ]
 
     def duality_check():
-        table = stratum_cohomology(theta)
         return [
             f"H^{d}"
             for d in range(2 * theta + 1)
@@ -446,7 +465,6 @@ def verify_stratum(theta: int) -> StratumVerification:
         ]
 
     def exponent_check():
-        table = stratum_cohomology(theta)
         return [
             f"degree {e.degree} carries exponent {e.frobenius_exponent}"
             for e in table.entries
@@ -454,21 +472,22 @@ def verify_stratum(theta: int) -> StratumVerification:
         ]
 
     def euler_check():
-        lhs = stratum_cohomology(theta).euler_characteristic()
+        lhs = table.euler_characteristic()
         rhs = IntPolynomial.zero()
         for theta_prime in range(theta + 1):
-            rhs = rhs + eo_stratum_cohomology(theta, theta_prime).euler_characteristic()
+            for e in eo_stratum_cohomology(theta, theta_prime, page).entries:
+                dim = page.dimension(theta_prime, e.frobenius_exponent)
+                rhs = rhs + dim if e.degree % 2 == 0 else rhs - dim
         if lhs != rhs:
             return [f"stratum {lhs} != sum over pieces {rhs}"]
         return []
 
     def alternating_sum_check():
-        table = stratum_cohomology(theta)
         failures = []
         for a in range(2 * theta + 1):
             alt = IntPolynomial.zero()
-            for j, term in enumerate(_eigen_chain(theta, a)):
-                dim = term.dimension_poly()
+            for j, theta_prime in enumerate(range((a + 1) // 2, theta + 1)):
+                dim = page.dimension(theta_prime, a)
                 alt = alt + dim if j % 2 == 0 else alt - dim
             target = table.eigenspace(a, a).dimension_poly()
             if alt != target:

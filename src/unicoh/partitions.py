@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
+from .errors import VerificationError
+
 
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers; () is the empty partition."""
@@ -42,11 +44,6 @@ class Partition(tuple):
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
-
-    def contains(self, other: "Partition") -> bool:
-        if len(other) > len(self):
-            return False
-        return all(o <= s for o, s in zip(other, self))
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
@@ -220,8 +217,8 @@ def from_core_quotient(t: int, quotient: Bipartition) -> Partition:
     b1 = beta_set(second, n_odd).values
     merged = sorted([2 * b for b in b0] + [2 * b + 1 for b in b1], reverse=True)
     lam = BetaSet(tuple(merged), rows).partition()
-    # |lam| = t(t+1)/2 + 2|quotient| is forced by the construction.
-    assert lam.size == t * (t + 1) // 2 + 2 * (first.size + second.size)
+    if lam.size != t * (t + 1) // 2 + 2 * (first.size + second.size):  # forced by the construction
+        raise VerificationError(f"reconstructed {tuple(lam)} has the wrong size for t={t}")
     return lam
 
 

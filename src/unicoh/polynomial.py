@@ -51,10 +51,6 @@ class IntPolynomial:
             raise ValueError("negative power")
         return cls([0] * k + [1])
 
-    @classmethod
-    def monomial(cls, k: int, c: int) -> "IntPolynomial":
-        return cls([0] * k + [c]) if c else cls(())
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -178,9 +174,6 @@ class IntPolynomial:
         if not rem.is_zero():
             raise ExactDivisionError(f"nonzero remainder {rem} dividing {self} by {other}")
         return quot
-
-    def __floordiv__(self, other) -> "IntPolynomial":
-        return self.exact_div(self._coerce(other))
 
     # -- presentation ----------------------------------------------------
 

@@ -227,6 +227,17 @@ class CharacterTable:
     def value(self, label, klass) -> int:
         return self.values[self.labels.index(label)][self.classes.index(klass)]
 
+    def is_orthogonal(self, order: int) -> bool:
+        """The class sizes add up to `order` and the rows are orthogonal: the sum
+        over classes of size * chi_i * chi_j is `order` when i == j, else 0."""
+        rows = self.values
+        return self.group_order == order and all(
+            sum(s * x * y for s, x, y in zip(self.class_sizes, rows[i], rows[j]))
+            == (order if i == j else 0)
+            for i in range(len(rows))
+            for j in range(i, len(rows))
+        )
+
     def to_json(self) -> dict:
         def encode(item):
             if isinstance(item, Bipartition):

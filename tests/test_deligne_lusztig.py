@@ -18,8 +18,10 @@ from unicoh import (
     tate_twist,
     verify_stratum,
 )
+from unicoh import deligne_lusztig as dl
 from unicoh.deligne_lusztig import (
     CohomologyTable,
+    SpectralPage,
     _stratum_term_explicit,
     _stratum_term_pieri,
     coxeter_dimension_checks,
@@ -203,6 +205,83 @@ class TestSpectralPage:
                 assert reps == stratum_term(theta, cell.column, exponent)
 
 
+class TestFirstPageOncePerCall:
+    @staticmethod
+    def count_terms(monkeypatch) -> list:
+        calls = []
+        original = dl.stratum_term
+
+        def counting(theta, theta_prime, a):
+            term = original(theta, theta_prime, a)
+            calls.append(((theta_prime, a), term))
+            return term
+
+        monkeypatch.setattr(dl, "stratum_term", counting)
+        return calls
+
+    @pytest.mark.parametrize("theta", range(0, 6))
+    def test_verify_builds_each_cell_once(self, monkeypatch, theta):
+        calls = self.count_terms(monkeypatch)
+        assert verify_stratum(theta).ok
+        assert len(calls) == (theta + 1) ** 2
+        assert len({cell for cell, _ in calls}) == len(calls)
+
+    def test_verify_sums_each_cell_dimension_once(self, monkeypatch):
+        calls = self.count_terms(monkeypatch)
+        summed = []
+        original = RepMultiset.dimension_poly
+
+        def counting(self):
+            summed.append(id(self))
+            return original(self)
+
+        monkeypatch.setattr(RepMultiset, "dimension_poly", counting)
+        assert verify_stratum(4).ok
+        counts = {cell: summed.count(id(term)) for cell, term in calls}
+        # a one-term chain (exponents 7 and 8 here) passes its term through as
+        # the table entry, which the checks also sum as part of the table
+        assert all(n == 1 for (_, a), n in counts.items() if a < 7)
+
+    def test_page_is_scoped_to_the_call(self):
+        original = dl.stratum_term
+
+        def tampered(theta, theta_prime, a):
+            term = original(theta, theta_prime, a)
+            if (theta_prime, a) == (2, 1):
+                return RepMultiset(term.sorted_labels()[1:])
+            return term
+
+        assert verify_stratum(4).ok
+        dl.stratum_term = tampered
+        try:
+            assert not verify_stratum(4).ok
+        finally:
+            dl.stratum_term = original
+        assert verify_stratum(4).ok
+
+    def test_build_failure_fails_every_check(self, monkeypatch):
+        original = dl.stratum_term
+
+        def failing(theta, theta_prime, a):
+            if (theta_prime, a) == (1, 1):
+                raise VerificationError("injected")
+            return original(theta, theta_prime, a)
+
+        monkeypatch.setattr(dl, "stratum_term", failing)
+        report = verify_stratum(3)
+        assert [(c.passed, c.details) for c in report.checks] == [(False, "injected")] * 5
+
+    @pytest.mark.parametrize("theta", range(0, 9))
+    def test_readers_agree_with_and_without_page(self, theta):
+        page = SpectralPage(theta)
+        assert stratum_cohomology(theta, page) == stratum_cohomology(theta)
+        for theta_prime in range(theta + 1):
+            assert eo_stratum_cohomology(theta, theta_prime, page) == eo_stratum_cohomology(
+                theta, theta_prime
+            )
+        assert page.cells == spectral_first_page(theta).cells
+
+
 class TestStratumCohomology:
     def test_theta_one_table(self):
         table = stratum_cohomology(1)
@@ -296,6 +375,15 @@ class TestTableSerialization:
         assert data["variety"] == "closed-stratum(theta=2)"
         rebuilt = CohomologyTable.from_json(data)
         assert rebuilt == table
+
+    def test_index_stays_out_of_equality_and_json(self):
+        table = stratum_cohomology(3)
+        fresh = CohomologyTable.from_json(table.to_json())
+        assert labels_as_partitions(table.eigenspace(2, 2)) == {(7,), (5, 2)}
+        assert table.eigenspace(2, 3) == RepMultiset()
+        assert table.at(9) == ()
+        assert table == fresh and hash(table) == hash(fresh)
+        assert table.to_json() == fresh.to_json()
 
     def test_json_shape(self):
         data = coxeter_cohomology(1).to_json()

@@ -8,6 +8,7 @@ from unicoh import (
     BetaSet,
     Bipartition,
     Partition,
+    VerificationError,
     beta_set,
     border_strips,
     core_quotient,
@@ -197,6 +198,15 @@ class TestCoreQuotient:
         for n in range(0, 11):
             for lam in partitions_of(n):
                 assert two_core_partition(lam) == staircase(two_core(lam))
+
+    def test_size_guard_survives_python_O(self, monkeypatch):
+        # the size identity is forced by the construction; if the beta-set
+        # step is broken it must raise, not pass silently under -O
+        from unicoh import partitions
+
+        monkeypatch.setattr(partitions.BetaSet, "partition", lambda self: Partition((1,)))
+        with pytest.raises(VerificationError):
+            from_core_quotient(1, Bipartition.of((2,), ()))
 
 
 class TestDominoOrderIndependence:

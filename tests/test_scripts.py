@@ -1,0 +1,71 @@
+"""Smoke tests for the scripts in scripts/, run as a user would run them."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from unicoh import RepMultiset, closed_stratum_cohomology
+from unicoh.deligne_lusztig import CohomologyEntry, CohomologyTable
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_spectral_page_script():
+    proc = run_script("spectral_page.py", "--theta", "3", "--dims")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("first page, theta = 3")
+    assert "col 3 | (-q)^6: [7]" in proc.stdout
+
+
+def test_stratum_tables_script_exports_closed_formula(tmp_path):
+    out = tmp_path / "tables.json"
+    proc = run_script("stratum_tables.py", "--max-theta", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    documents = json.loads(out.read_text())
+    assert len(documents) == 4
+    for theta, document in enumerate(documents):
+        expected = json.loads(json.dumps(closed_stratum_cohomology(theta).to_json()))
+        assert document == expected
+
+
+def test_stratum_tables_export_gate_fails_loudly(tmp_path, monkeypatch, capsys):
+    # a disagreement between the engine and the closed formula must exit 1
+    # with the mismatch printed, also under python -O
+    script = load_script("stratum_tables.py")
+
+    def wrong_closed(theta):
+        table = closed_stratum_cohomology(theta)
+        first = table.entries[0]
+        entries = (CohomologyEntry(first.degree, first.frobenius_exponent, RepMultiset()),)
+        return CohomologyTable(table.variety, entries + table.entries[1:])
+
+    monkeypatch.setattr(script, "closed_stratum_cohomology", wrong_closed)
+    out = tmp_path / "tables.json"
+    monkeypatch.setattr(sys, "argv", ["stratum_tables.py", "--max-theta", "1", "--out", str(out)])
+    assert script.main() == 1
+    err = capsys.readouterr().err
+    assert "theta=0: spectral table differs from the closed formula" in err
+    assert '"constituents": []' in err
+    assert not out.exists()

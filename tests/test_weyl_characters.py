@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -208,6 +209,18 @@ class TestCharacterTables:
                     for k, size in enumerate(table.class_sizes)
                 )
                 assert inner == (order if i == j else 0)
+
+    def test_is_orthogonal_method(self):
+        # the method behind the verify sweep's orthogonality checks accepts
+        # the true tables and rejects a wrong order or one altered value
+        sym, typeb = character_table_sym(4), character_table_typeb(3)
+        assert sym.is_orthogonal(factorial(4))
+        assert typeb.is_orthogonal(2**3 * factorial(3))
+        assert not sym.is_orthogonal(factorial(4) + 1)
+        rows = [list(row) for row in typeb.values]
+        rows[1][2] += 1
+        tampered = replace(typeb, values=tuple(tuple(row) for row in rows))
+        assert not tampered.is_orthogonal(2**3 * factorial(3))
 
     def test_label_order_is_documented_total_order(self):
         labels = [Partition(p) for p in ((3,), (2, 1), (1, 1, 1))]
