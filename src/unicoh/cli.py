@@ -20,7 +20,7 @@ from math import factorial
 from . import deligne_lusztig as dl
 from . import harish_chandra as hc
 from . import weyl_characters as wc
-from .errors import RankCapError, VerificationError
+from .errors import ExactDivisionError, RankCapError, VerificationError
 from .partitions import (
     Bipartition,
     Partition,
@@ -530,6 +530,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    except ExactDivisionError as exc:
+        print(f"internal failure: {exc}", file=sys.stderr)
         return 1
     if cfg.verbose and not cfg.quiet:
         print(f"computed in {time.monotonic() - started:.3f}s", file=sys.stderr)

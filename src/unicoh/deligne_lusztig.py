@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import VerificationError
+from .errors import ExactDivisionError, VerificationError
 from . import harish_chandra as hc
 from .harish_chandra import LeviShape, LeviUnipotentLabel, RepMultiset
 from .partitions import Partition
@@ -109,6 +109,18 @@ class CohomologyTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "CohomologyTable":
+        """Inverse of to_json.  A constituent's `partition` or `degree_poly`,
+        when present, must be the one its symbol determines; otherwise
+        ValueError."""
+
+        def label(c: dict) -> SymbolLabel:
+            sym = SymbolLabel.from_json(c["symbol"])
+            if "partition" in c and Partition(c["partition"]) != from_symbol(sym):
+                raise ValueError(f"partition {c['partition']} does not match symbol {c['symbol']}")
+            if "degree_poly" in c and IntPolynomial.from_json(c["degree_poly"]) != symbol_degree(sym):
+                raise ValueError(f"degree_poly {c['degree_poly']} does not match symbol {c['symbol']}")
+            return sym
+
         return cls(
             variety=data["variety"],
             entries=tuple(
@@ -116,10 +128,7 @@ class CohomologyTable:
                     degree=int(e["degree"]),
                     frobenius_exponent=int(e["frobenius_exponent"]),
                     constituents=RepMultiset(
-                        {
-                            SymbolLabel.from_json(c["symbol"]): int(c.get("multiplicity", 1))
-                            for c in e["constituents"]
-                        }
+                        {label(c): int(c.get("multiplicity", 1)) for c in e["constituents"]}
                     ),
                 )
                 for e in data["entries"]
@@ -155,7 +164,11 @@ def coxeter_cohomology(k: int) -> CohomologyTable:
 def coxeter_eigenspace_dim(k: int, a: int) -> IntPolynomial:
     """Dimension of the (-q)**a eigenspace of the Coxeter variety cohomology,
     as the exact polynomial q**((2k-a)(2k+1-a)/2) * prod_{j=1}^{2k-a}
-    (q**(a+j) - (-1)**(a+j)) / (q**j - (-1)**j)."""
+    (q**(a+j) - (-1)**(a+j)) / (q**j - (-1)**j).
+
+    Dense products and one long division on purpose: this is the side of
+    the coxeter-eigenspace-dimension check that shares no code with the
+    generic degrees it is compared against."""
     if not 0 <= a <= 2 * k:
         raise ValueError(f"exponent {a} out of range 0..{2 * k}")
     m = 2 * k - a
@@ -427,9 +440,10 @@ def verify_stratum(theta: int) -> StratumVerification:
     All dimension identities are exact polynomial identities in q.  Each call
     builds one first page (one `stratum_term` call per cell, each cell's
     dimension at most once) and assembles the table from it once; all checks
-    read these, and nothing is kept between calls.  A VerificationError while
-    building them fails all five checks with its message as details; one
-    inside a check fails only that check.  Other exceptions propagate.
+    read these, and nothing is kept between calls.  A VerificationError or
+    ExactDivisionError while building them fails all five checks with its
+    message as details; one inside a check fails only that check.  Other
+    exceptions propagate.
     """
     checks: list[CheckResult] = []
     prefix = f"(theta={theta})"
@@ -438,13 +452,13 @@ def verify_stratum(theta: int) -> StratumVerification:
     build_failure: list[str] = []
     try:
         table = stratum_cohomology(theta, page)
-    except VerificationError as exc:
+    except (VerificationError, ExactDivisionError) as exc:
         build_failure = [str(exc)]
 
     def run(name, body):
         try:
             failures = build_failure or body()
-        except VerificationError as exc:
+        except (VerificationError, ExactDivisionError) as exc:
             failures = [str(exc)]
         checks.append(CheckResult(f"{name} {prefix}", not failures, "; ".join(failures)))
 

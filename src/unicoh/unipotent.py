@@ -3,12 +3,17 @@
 Two labelings are supported: by a partition of n, and (for the unitary
 group) by a symbol triple (t, alpha, beta) recording the cuspidal support
 staircase(t) and a bipartition.  Generic degrees are exact integer
-polynomials in q produced by the hook formulas; the division is performed
-once, numerator by denominator, and any nonzero remainder is a bug.
+polynomials in q produced by the hook formulas, q**a(lam) times
+prod (q**j - e**j) over j <= n divided by prod (q**h - e**h) over the hook
+lengths h, with e = -1 for U and e = 1 for GL.  After the factors shared by
+the two products cancel, every remaining factor has two terms, so the
+degree is built by one-pass multiply and exact-divide steps on a single
+coefficient list; any nonzero remainder is a bug and raises.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
@@ -22,7 +27,7 @@ from .partitions import (
     two_core,
     two_quotient,
 )
-from .polynomial import IntPolynomial, prod, q_minus_one, q_minus_sign
+from .polynomial import IntPolynomial
 
 
 def a_exponent(lam: Partition) -> int:
@@ -34,30 +39,56 @@ def _hooks_flat(lam: Partition) -> list[int]:
     return [h for row in hook_lengths(lam) for h in row]
 
 
+def _hook_degree(lam: Partition, sign: int) -> IntPolynomial:
+    """q**a(lam) * prod_{j<=n} (q**j - sign**j) / prod_{hooks h} (q**h - sign**h).
+
+    Factors common to {1..n} and the hook lengths cancel first.  The rest
+    are two-term polynomials, so each multiplication and each exact
+    division is one pass over a single coefficient list (lowest power
+    first); a nonzero remainder or a quotient of negative degree raises.
+    """
+    lam = Partition(lam)
+    group = "U" if sign < 0 else "GL"
+    numerator = Counter(range(1, lam.size + 1))
+    hooks = Counter(_hooks_flat(lam))
+    coeffs = [1]
+    for j in (numerator - hooks).elements():
+        e = sign**j
+        product = [0] * j + coeffs
+        for k, c in enumerate(coeffs):
+            product[k] -= e * c
+        coeffs = product
+    for h in (hooks - numerator).elements():
+        e = sign**h
+        # coeffs = quot * (q**h - e): top-down, quot[m] = coeffs[m + h] + e * quot[m + h]
+        quot = coeffs[h:]
+        if not quot:
+            raise ExactDivisionError(
+                f"{group} degree of {tuple(lam)} not polynomial: "
+                f"degree {len(coeffs) - 1} below hook factor q^{h}"
+            )
+        for m in range(len(quot) - 1 - h, -1, -1):
+            quot[m] += e * quot[m + h]
+        remainder = [coeffs[k] + e * (quot[k] if k < len(quot) else 0) for k in range(h)]
+        if any(remainder):
+            raise ExactDivisionError(
+                f"{group} degree of {tuple(lam)} not polynomial: "
+                f"nonzero remainder {IntPolynomial(remainder)} dividing by {IntPolynomial.q_power(h) - e}"
+            )
+        coeffs = quot
+    return IntPolynomial([0] * a_exponent(lam) + coeffs)
+
+
 @cache
 def degree_gl(lam: Partition) -> IntPolynomial:
     """Generic degree of the unipotent representation of GL_n(q) labelled by lam."""
-    lam = Partition(lam)
-    n = lam.size
-    num = IntPolynomial.q_power(a_exponent(lam)) * prod(q_minus_one(i) for i in range(1, n + 1))
-    den = prod(q_minus_one(h) for h in _hooks_flat(lam))
-    try:
-        return num.exact_div(den)
-    except ExactDivisionError as exc:  # cannot happen for a valid partition
-        raise ExactDivisionError(f"GL degree of {tuple(lam)} not polynomial: {exc}") from exc
+    return _hook_degree(lam, 1)
 
 
 @cache
 def degree_u(lam: Partition) -> IntPolynomial:
     """Generic degree of the unipotent representation of U_n(q) labelled by lam."""
-    lam = Partition(lam)
-    n = lam.size
-    num = IntPolynomial.q_power(a_exponent(lam)) * prod(q_minus_sign(i) for i in range(1, n + 1))
-    den = prod(q_minus_sign(h) for h in _hooks_flat(lam))
-    try:
-        return num.exact_div(den)
-    except ExactDivisionError as exc:
-        raise ExactDivisionError(f"U degree of {tuple(lam)} not polynomial: {exc}") from exc
+    return _hook_degree(lam, -1)
 
 
 def degree_gl_at(lam: Partition, q0: int) -> int:

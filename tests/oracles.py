@@ -8,7 +8,8 @@ the library's beta-set or recursion code paths, so agreement is meaningful.
 from functools import cache
 from itertools import permutations
 
-from unicoh import Partition
+from unicoh import IntPolynomial, Partition
+from unicoh.polynomial import prod, q_minus_one, q_minus_sign
 
 
 def subpartitions_of_size(lam: Partition, size: int):
@@ -79,6 +80,21 @@ def syt_count(lam: Partition) -> int:
             continue
         total += syt_count(Partition(lam[:i] + (lam[i] - 1,) + lam[i + 1 :]))
     return total
+
+
+def diagram_hooks(lam: Partition) -> list[int]:
+    """Hook length of every box, arm + leg + 1, read off the diagram."""
+    columns = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
+    return [lam[i] - j + columns[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])]
+
+
+def hook_formula_degree(lam: Partition, group: str) -> IntPolynomial:
+    """Generic degree of U_n(q) (group "u") or GL_n(q) (group "gl") by the
+    dense hook formula: expand numerator and denominator, one long division."""
+    factor = q_minus_sign if group == "u" else q_minus_one
+    a = sum(i * part for i, part in enumerate(lam))
+    num = IntPolynomial.q_power(a) * prod(factor(j) for j in range(1, lam.size + 1))
+    return num.exact_div(prod(factor(h) for h in diagram_hooks(lam)))
 
 
 def permutation_of_cycle_type(nu: Partition) -> tuple[int, ...]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from unicoh import Bipartition, Partition
+from unicoh import Bipartition, ExactDivisionError, Partition
 from unicoh import cli
 from unicoh import deligne_lusztig as dl
 from unicoh import harish_chandra as hc
@@ -60,6 +60,18 @@ class TestScalarCommands:
     def test_malformed_partition_is_usage_error(self, capsys):
         status, _, err = run(capsys, "char-sym", "--lambda", "2,x", "--class", "3")
         assert status == 2
+
+    def test_degree_engine_failure_exits_1(self, capsys, monkeypatch):
+        # an exact-division failure is an engine bug: exit 1, not a traceback
+        # and not a usage error
+        def failing(lam):
+            raise ExactDivisionError(f"U degree of {tuple(lam)} not polynomial: injected")
+
+        monkeypatch.setattr(cli, "degree_u", failing)
+        status, out, err = run(capsys, "degree", "--group", "u", "--lambda", "2,1")
+        assert status == 1
+        assert out == ""
+        assert err == "internal failure: U degree of (2, 1) not polynomial: injected\n"
 
     def test_degree(self, capsys):
         status, out, _ = run(capsys, "degree", "--group", "u", "--lambda", "1,1,1")

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from unicoh import (
+    ExactDivisionError,
     IntPolynomial,
     Partition,
     RepMultiset,
@@ -19,6 +22,7 @@ from unicoh import (
     verify_stratum,
 )
 from unicoh import deligne_lusztig as dl
+from unicoh import unipotent
 from unicoh.deligne_lusztig import (
     CohomologyTable,
     SpectralPage,
@@ -271,6 +275,27 @@ class TestFirstPageOncePerCall:
         report = verify_stratum(3)
         assert [(c.passed, c.details) for c in report.checks] == [(False, "injected")] * 5
 
+    def test_degree_failure_fails_the_dimension_checks(self, monkeypatch):
+        def failing(lam):
+            raise ExactDivisionError(f"U degree of {tuple(lam)} not polynomial: injected")
+
+        monkeypatch.setattr(unipotent, "degree_u", failing)
+        report = verify_stratum(2)
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed == [
+            "euler-characteristic-additivity (theta=2)",
+            "eigenvalue-alternating-sums (theta=2)",
+        ]
+        assert all("not polynomial: injected" in c.details for c in report.checks if not c.passed)
+
+    def test_degree_failure_while_building_fails_every_check(self, monkeypatch):
+        def failing(theta, theta_prime, a):
+            raise ExactDivisionError("injected")
+
+        monkeypatch.setattr(dl, "stratum_term", failing)
+        report = verify_stratum(2)
+        assert [(c.passed, c.details) for c in report.checks] == [(False, "injected")] * 5
+
     @pytest.mark.parametrize("theta", range(0, 9))
     def test_readers_agree_with_and_without_page(self, theta):
         page = SpectralPage(theta)
@@ -384,6 +409,24 @@ class TestTableSerialization:
         assert table.at(9) == ()
         assert table == fresh and hash(table) == hash(fresh)
         assert table.to_json() == fresh.to_json()
+
+    @pytest.mark.parametrize("theta", range(0, 9))
+    def test_every_stratum_table_round_trips(self, theta):
+        table = stratum_cohomology(theta)
+        data = json.loads(json.dumps(table.to_json()))
+        assert CohomologyTable.from_json(data) == table
+        assert CohomologyTable.from_json(data).to_json() == table.to_json()
+
+    @pytest.mark.parametrize("field, tamper", [
+        ("partition", lambda c: c["partition"][:-1] + [c["partition"][-1] + 1]),
+        ("degree_poly", lambda c: c["degree_poly"][:-1] + [str(int(c["degree_poly"][-1]) + 1)]),
+    ])
+    def test_tampered_constituent_is_rejected(self, field, tamper):
+        data = stratum_cohomology(2).to_json()
+        constituent = data["entries"][1]["constituents"][0]
+        constituent[field] = tamper(constituent)
+        with pytest.raises(ValueError, match=f"{field} .* does not match symbol"):
+            CohomologyTable.from_json(data)
 
     def test_json_shape(self):
         data = coxeter_cohomology(1).to_json()

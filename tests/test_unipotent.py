@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
 
 from unicoh import (
     Bipartition,
+    ExactDivisionError,
     IntPolynomial,
     Partition,
     cuspidal_partition,
@@ -17,9 +24,11 @@ from unicoh import (
     two_core,
     two_quotient,
 )
+from unicoh import unipotent
 from unicoh.unipotent import SymbolLabel, a_exponent, symbol
 
-from oracles import syt_count
+from oracles import diagram_hooks, hook_formula_degree, syt_count
+from strategies import partitions_up_to
 
 
 class TestDegrees:
@@ -46,10 +55,40 @@ class TestDegrees:
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_divisions_exact_everywhere(self, n):
-        # constructing the degree raises on any nonzero remainder
+        # constructing the degree raises on any nonzero remainder, and the
+        # two-term steps agree with the dense long-division hook formula
         for lam in partitions_of(n):
-            degree_u(lam)
-            degree_gl(lam)
+            assert degree_u(lam) == hook_formula_degree(lam, "u")
+            assert degree_gl(lam) == hook_formula_degree(lam, "gl")
+
+    @given(partitions_up_to(24))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_hook_formula(self, lam):
+        assert degree_u(lam) == hook_formula_degree(lam, "u")
+        assert degree_gl(lam) == hook_formula_degree(lam, "gl")
+
+    def test_matches_sympy_rational_function(self):
+        sympy = pytest.importorskip("sympy")
+        q = sympy.Symbol("q")
+        for n in range(0, 9):
+            for lam in partitions_of(n):
+                for sign, degree in ((-1, degree_u), (1, degree_gl)):
+                    num = q ** a_exponent(lam) * sympy.Mul(*(q**j - sign**j for j in range(1, n + 1)))
+                    den = sympy.Mul(*(q**h - sign**h for h in diagram_hooks(lam)))
+                    coeffs = sympy.Poly(sympy.cancel(num / den), q).all_coeffs()[::-1]
+                    assert degree(lam) == IntPolynomial(int(c) for c in coeffs)
+
+    def test_ennola_duality(self):
+        # deg_U(lam)(q) = +-deg_GL(lam)(-q) (Ennola 1963), both signs occurring
+        signs = set()
+        for n in range(0, 11):
+            for lam in partitions_of(n):
+                gl_at_minus_q = [(-1) ** k * c for k, c in enumerate(degree_gl(lam).coeffs)]
+                u = list(degree_u(lam).coeffs)
+                sign = 1 if u == gl_at_minus_q else -1
+                assert u == [sign * c for c in gl_at_minus_q]
+                signs.add(sign)
+        assert signs == {1, -1}
 
     def test_gl_degree_at_one_counts_tableaux(self):
         # the q -> 1 limit of the GL degree is the number of standard tableaux
@@ -73,6 +112,35 @@ class TestDegrees:
                 flags = flags * (q0**i - 1) // (q0 - 1)
             total = sum(syt_count(lam) * degree_gl_at(lam, q0) for lam in partitions_of(n))
             assert total == flags
+
+    @pytest.mark.parametrize("wrong_hooks, message", [
+        (lambda lam: [2] * lam.size, "nonzero remainder"),  # (2,1): (q+1)(q^3+1) / (q^2-1)^2
+        (lambda lam: [lam.size + 5] * lam.size, "below hook factor"),  # quotient of negative degree
+    ])
+    def test_wrong_hooks_raise(self, monkeypatch, wrong_hooks, message):
+        monkeypatch.setattr(unipotent, "_hooks_flat", wrong_hooks)
+        for degree in (degree_u, degree_gl):
+            with pytest.raises(ExactDivisionError, match=message) as info:
+                degree.__wrapped__(Partition((2, 1)))
+            assert "(2, 1)" in str(info.value)
+
+    def test_wrong_hooks_raise_under_python_O(self):
+        script = (
+            "from unicoh import ExactDivisionError, Partition, unipotent\n"
+            "unipotent._hooks_flat = lambda lam: [2] * lam.size\n"
+            "try:\n"
+            "    unipotent.degree_u.__wrapped__(Partition((2, 1)))\n"
+            "except ExactDivisionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(unipotent.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: U degree of (2, 1) not polynomial")
 
     def test_a_exponent(self):
         assert a_exponent(Partition((3, 3, 2, 2, 1))) == 0 * 3 + 1 * 3 + 2 * 2 + 3 * 2 + 4 * 1
