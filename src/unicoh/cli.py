@@ -3,7 +3,7 @@
 Partitions are written as comma-separated descending integers (empty string
 for the empty partition), bipartitions as two partitions separated by a
 slash, e.g. ``3,1,1/4,2``.  Exit status: 0 on success, 2 on bad arguments,
-1 when a verification run reports a failure.
+1 when a verification run reports a failure or the library fails inside.
 """
 
 from __future__ import annotations
@@ -77,6 +77,17 @@ def parse_bipartition(text: str) -> Bipartition:
         raise CliError(f"malformed bipartition {text!r}: expected 'first/second'")
     first, _, second = text.partition("/")
     return Bipartition(parse_partition(first), parse_partition(second))
+
+
+NONNEGATIVE_FLAGS = ("theta", "k", "a", "n", "t", "add", "remove")
+
+
+def check_nonnegative(args: argparse.Namespace) -> None:
+    """Reject a negative value for any of the integer flags a subcommand takes."""
+    for name in NONNEGATIVE_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise CliError(f"--{name} must be nonnegative, got {value}")
 
 
 def _compact(obj) -> str:
@@ -214,8 +225,6 @@ def cmd_two_quotient(args, cfg: RunConfig) -> Document:
 
 def cmd_reconstruct(args, cfg: RunConfig) -> Document:
     quotient = parse_bipartition(args.quotient)
-    if args.t < 0:
-        raise CliError("--t must be nonnegative")
     lam = from_core_quotient(args.t, quotient)
     return Document(
         text=_compact(list(lam)),
@@ -286,7 +295,10 @@ def cmd_pieri(args, cfg: RunConfig) -> Document:
 
 def cmd_induce(args, cfg: RunConfig) -> Document:
     sym = SymbolLabel(args.t, parse_partition(args.alpha), parse_partition(args.beta))
-    gl_ranks = tuple(int(x) for x in args.gl.split(",") if x.strip() != "") if args.gl else ()
+    try:
+        gl_ranks = tuple(int(x) for x in args.gl.split(",") if x.strip() != "")
+    except ValueError as exc:
+        raise CliError(f"malformed GL ranks {args.gl!r}: {exc}") from exc
     if any(r < 0 for r in gl_ranks):
         raise CliError("GL ranks must be nonnegative")
     shape = hc.LeviShape(unitary_rank=sym.rank, gl_ranks=gl_ranks)
@@ -524,14 +536,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     started = time.monotonic()
     try:
+        check_nonnegative(args)
         result = args.handler(args, cfg)
-    except (CliError, RankCapError, ValueError) as exc:
+    except (CliError, RankCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except ExactDivisionError as exc:
+    except (ExactDivisionError, ValueError) as exc:
+        # arguments were validated above, so a ValueError is the library's fault
         print(f"internal failure: {exc}", file=sys.stderr)
         return 1
     if cfg.verbose and not cfg.quiet:

@@ -30,6 +30,10 @@ def add_horizontal_strips(lam: Partition, boxes: int) -> Iterator[Partition]:
     """All partitions obtained from lam by adding `boxes` boxes, no two in a column.
 
     Equivalently all mu >= lam interlacing lam: mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...
+    Yielded in descending lexicographic order.  The rows below row i can gain
+    at most lam_i boxes in total, so row i takes at least `remaining` (the
+    boxes still to place); with that bound every branch of the recursion
+    yields exactly one partition.
     """
     lam = Partition(lam)
     if boxes < 0:
@@ -39,12 +43,11 @@ def add_horizontal_strips(lam: Partition, boxes: int) -> Iterator[Partition]:
 
     def build(i: int, remaining: int, upper: int, prefix: list[int]) -> Iterator[Partition]:
         if i == len(padded):
-            if remaining == 0:
-                yield Partition(prefix)
+            yield Partition(prefix)
             return
         low = padded[i]
         high = min(upper, low + remaining)
-        for val in range(high, low - 1, -1):
+        for val in range(high, max(low, remaining) - 1, -1):
             prefix.append(val)
             yield from build(i + 1, remaining - (val - low), low, prefix)
             prefix.pop()
@@ -53,7 +56,13 @@ def add_horizontal_strips(lam: Partition, boxes: int) -> Iterator[Partition]:
 
 
 def remove_horizontal_strips(lam: Partition, boxes: int) -> Iterator[Partition]:
-    """All partitions obtained from lam by deleting `boxes` boxes, no two in a column."""
+    """All partitions obtained from lam by deleting `boxes` boxes, no two in a column.
+
+    Yielded in descending lexicographic order.  The rows below row i can lose
+    at most lam_{i+1} boxes in total, so row i keeps at most
+    lam_i + lam_{i+1} - `remaining`; with that bound every branch of the
+    recursion yields exactly one partition.
+    """
     lam = Partition(lam)
     if boxes < 0:
         raise ValueError("cannot delete a negative number of boxes")
@@ -64,11 +73,11 @@ def remove_horizontal_strips(lam: Partition, boxes: int) -> Iterator[Partition]:
 
     def build(i: int, remaining: int, prefix: list[int]) -> Iterator[Partition]:
         if i == len(lam):
-            if remaining == 0:
-                yield Partition(prefix)
+            yield Partition(prefix)
             return
         low = max(padded[i + 1], padded[i] - remaining)
-        for val in range(padded[i], low - 1, -1):
+        high = min(padded[i], padded[i] + padded[i + 1] - remaining)
+        for val in range(high, low - 1, -1):
             prefix.append(val)
             yield from build(i + 1, remaining - (padded[i] - val), prefix)
             prefix.pop()
@@ -79,30 +88,35 @@ def remove_horizontal_strips(lam: Partition, boxes: int) -> Iterator[Partition]:
 # -- Pieri rule ----------------------------------------------------------
 
 
+def _pair_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipartition, ...]:
+    """Every (first, second) with d boxes moved on the first component and
+    boxes - d on the second, each component's strips enumerated once per d."""
+    firsts = [tuple(strips(start.first, d)) for d in range(boxes + 1)]
+    seconds = [tuple(strips(start.second, d)) for d in range(boxes + 1)]
+    results = [
+        Bipartition(first, second)
+        for d in range(boxes + 1)
+        for first in firsts[d]
+        for second in seconds[boxes - d]
+    ]
+    return tuple(sorted(results, key=weyl_characters.label_sort_key))
+
+
 def pieri_induce(start: Bipartition, boxes: int) -> tuple[Bipartition, ...]:
     """Constituents of Ind(chi_start x trivial) from W_r x S_boxes to W_{r+boxes}.
 
     Multiplicity-free: split the boxes between the two components in every
-    way and add each share as a horizontal strip.
+    way and add each share as a horizontal strip.  Each component's strips
+    are enumerated once per box count and then paired.
     """
-    results = []
-    for d in range(boxes + 1):
-        for first in add_horizontal_strips(start.first, d):
-            for second in add_horizontal_strips(start.second, boxes - d):
-                results.append(Bipartition(first, second))
-    return tuple(sorted(results, key=weyl_characters.label_sort_key))
+    return _pair_strips(start, boxes, add_horizontal_strips)
 
 
 def pieri_restrict(start: Bipartition, boxes: int) -> tuple[Bipartition, ...]:
     """Constituents of the restriction from W_a to W_{a-boxes} (times S_boxes, trivial part)."""
     if boxes > start.size:
         raise ValueError(f"cannot delete {boxes} boxes from a bipartition of {start.size}")
-    results = []
-    for d in range(boxes + 1):
-        for first in remove_horizontal_strips(start.first, d):
-            for second in remove_horizontal_strips(start.second, boxes - d):
-                results.append(Bipartition(first, second))
-    return tuple(sorted(results, key=weyl_characters.label_sort_key))
+    return _pair_strips(start, boxes, remove_horizontal_strips)
 
 
 # -- multisets of unipotent labels ----------------------------------------

@@ -162,17 +162,25 @@ def border_strips(lam: Partition, size: int) -> tuple[BorderStrip, ...]:
 
 
 def two_core(lam: Partition) -> int:
-    """Staircase index t of the 2-core, reached by removing dominoes until none remain."""
+    """Staircase index t of the 2-core (see two_core_partition)."""
     return len(two_core_partition(lam))
 
 
 def two_core_partition(lam: Partition) -> Partition:
-    lam = Partition(lam)
-    while True:
-        strips = border_strips(lam, 2)
-        if not strips:
-            return lam
-        lam = strips[0].result
+    """The 2-core, read off the 2-abacus.
+
+    Removing a domino moves one beta value b to a free b - 2, so it moves a
+    bead down its runner of the 2-abacus (even or odd values) and never
+    changes how many beads each runner holds.  No domino is left exactly
+    when every bead sits at the bottom of its runner: the e even values are
+    0, 2, ..., 2(e - 1) and the o odd values 1, 3, ..., 2o - 1.  So the core
+    is rebuilt from the two counts alone, with no dominoes removed one by one.
+    """
+    values = beta_set(lam).values
+    evens = sum(1 for b in values if b % 2 == 0)
+    odds = len(values) - evens
+    slid = sorted([2 * i for i in range(evens)] + [2 * i + 1 for i in range(odds)], reverse=True)
+    return partition_from_beta_values(slid)
 
 
 def two_quotient(lam: Partition, rows: Optional[int] = None) -> Bipartition:

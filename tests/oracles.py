@@ -1,14 +1,18 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here recomputes quantities from first principles (geometric
+Most of what is here recomputes quantities from first principles (geometric
 strip walking, tableau enumeration, permutation signs) without touching
 the library's beta-set or recursion code paths, so agreement is meaningful.
+The rest are slower library algorithms kept after a faster one replaced
+them: the dense hook formula, domino peeling for 2-cores, and the
+horizontal-strip recursions without pruning.
 """
 
 from functools import cache
 from itertools import permutations
 
-from unicoh import IntPolynomial, Partition
+from unicoh import Bipartition, IntPolynomial, Partition, border_strips
+from unicoh.weyl_characters import label_sort_key
 from unicoh.polynomial import prod, q_minus_one, q_minus_sign
 
 
@@ -137,3 +141,62 @@ def sym_class_size_bruteforce(nu: Partition) -> int:
 
     target = tuple(nu)
     return sum(1 for image in permutations(range(n)) if cycle_type(image) == target)
+
+
+def domino_peeling_core(lam: Partition) -> Partition:
+    """2-core by removing the first removable domino until none is left."""
+    lam = Partition(lam)
+    while True:
+        strips = border_strips(lam, 2)
+        if not strips:
+            return lam
+        lam = strips[0].result
+
+
+def unpruned_add_strips(lam: Partition, boxes: int) -> list[Partition]:
+    """Horizontal strips added to lam, by trying every value each row allows."""
+    padded = tuple(lam) + (0,)
+    out = []
+
+    def build(i, remaining, upper, prefix):
+        if i == len(padded):
+            if remaining == 0:
+                out.append(Partition(prefix))
+            return
+        low = padded[i]
+        for val in range(min(upper, low + remaining), low - 1, -1):
+            build(i + 1, remaining - (val - low), low, prefix + [val])
+
+    build(0, boxes, (lam[0] if lam else 0) + boxes, [])
+    return out
+
+
+def unpruned_remove_strips(lam: Partition, boxes: int) -> list[Partition]:
+    """Horizontal strips deleted from lam, by trying every value each row allows."""
+    if boxes > lam.size:
+        return []
+    padded = tuple(lam) + (0,)
+    out = []
+
+    def build(i, remaining, prefix):
+        if i == len(lam):
+            if remaining == 0:
+                out.append(Partition(prefix))
+            return
+        for val in range(padded[i], max(padded[i + 1], padded[i] - remaining) - 1, -1):
+            build(i + 1, remaining - (padded[i] - val), prefix + [val])
+
+    build(0, boxes, [])
+    return out
+
+
+def pieri_by_nested_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipartition, ...]:
+    """Pieri constituents with the second component's strips enumerated
+    afresh for every first component, sorted like the library's result."""
+    results = [
+        Bipartition(first, second)
+        for d in range(boxes + 1)
+        for first in strips(start.first, d)
+        for second in strips(start.second, boxes - d)
+    ]
+    return tuple(sorted(results, key=label_sort_key))

@@ -277,6 +277,46 @@ class TestMutationDetection:
         assert status == 1
 
 
+class TestArgumentBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stratum", "--theta", "-1"),
+            ("verify", "--theta", "-1"),
+            ("coxeter", "--k", "-1"),
+            ("verify", "--k", "-2"),
+            ("table", "--group", "b", "--a", "-1"),
+            ("table", "--group", "sym", "--n", "-3"),
+            ("label", "--t", "-1", "--alpha", "", "--beta", ""),
+            ("induce", "--t", "-1", "--alpha", "", "--beta", ""),
+            ("reconstruct", "--t", "-1", "--quotient", "/"),
+            ("pieri", "--label", "1/", "--add", "-1"),
+            ("pieri", "--label", "1/", "--remove", "-1"),
+        ],
+    )
+    def test_negative_integer_flag_is_usage_error(self, capsys, argv):
+        status, out, err = run(capsys, *argv)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: --") and "must be nonnegative" in err
+
+    def test_malformed_gl_ranks_is_usage_error(self, capsys):
+        status, _, err = run(capsys, "induce", "--t", "0", "--alpha", "", "--beta", "", "--gl", "1,x")
+        assert status == 2
+        assert "malformed GL ranks" in err
+
+    def test_library_value_error_exits_1(self, capsys, monkeypatch):
+        # a ValueError raised inside the library is an engine bug, not bad arguments
+        def failing(shape, label):
+            raise ValueError("mixed cuspidal supports in one multiset: injected")
+
+        monkeypatch.setattr(hc, "hc_induce", failing)
+        status, out, err = run(capsys, "induce", "--t", "1", "--alpha", "", "--beta", "", "--gl", "1")
+        assert status == 1
+        assert out == ""
+        assert err == "internal failure: mixed cuspidal supports in one multiset: injected\n"
+
+
 class TestArgparseBehaviour:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:

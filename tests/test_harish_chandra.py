@@ -12,13 +12,15 @@ from unicoh import (
     bipartitions_of,
     hc_induce,
     induction_multiplicity_oracle,
+    partitions_of,
     pieri_induce,
     pieri_restrict,
 )
 from unicoh.harish_chandra import add_horizontal_strips, remove_horizontal_strips
 from unicoh.unipotent import symbol
 
-from strategies import bipartitions, partitions
+from oracles import pieri_by_nested_strips, unpruned_add_strips, unpruned_remove_strips
+from strategies import bipartitions, partitions, partitions_up_to
 
 
 class TestHorizontalStrips:
@@ -51,6 +53,37 @@ class TestHorizontalStrips:
                 assert part >= padded[i]
                 if i > 0:
                     assert part <= padded[i - 1]
+
+
+class TestStripsMatchUnprunedOracle:
+    """The pruned recursions give the unpruned oracle's lists, in its order."""
+
+    def test_exhaustive(self):
+        for n in range(15):
+            for lam in partitions_of(n):
+                for d in range(9):
+                    assert list(add_horizontal_strips(lam, d)) == unpruned_add_strips(lam, d)
+                    assert list(remove_horizontal_strips(lam, d)) == unpruned_remove_strips(lam, d)
+
+    @given(partitions_up_to(30), st.integers(min_value=0, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_add_property(self, lam, d):
+        assert list(add_horizontal_strips(lam, d)) == unpruned_add_strips(lam, d)
+
+    @given(partitions_up_to(30), st.integers(min_value=0, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_remove_property(self, lam, d):
+        assert list(remove_horizontal_strips(lam, d)) == unpruned_remove_strips(lam, d)
+
+    def test_pieri_order_identical(self):
+        for n in range(7):
+            for start in bipartitions_of(n):
+                for boxes in range(5):
+                    expected = pieri_by_nested_strips(start, boxes, unpruned_add_strips)
+                    assert pieri_induce(start, boxes) == expected
+                for boxes in range(n + 1):
+                    expected = pieri_by_nested_strips(start, boxes, unpruned_remove_strips)
+                    assert pieri_restrict(start, boxes) == expected
 
 
 class TestPieri:

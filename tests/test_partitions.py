@@ -21,8 +21,8 @@ from unicoh import (
 )
 from unicoh.partitions import partition_from_beta_values, two_core_partition
 
-from oracles import geometric_border_strips
-from strategies import partitions
+from oracles import domino_peeling_core, geometric_border_strips
+from strategies import partitions, partitions_up_to
 
 
 class TestPartitionType:
@@ -207,6 +207,18 @@ class TestCoreQuotient:
         monkeypatch.setattr(partitions.BetaSet, "partition", lambda self: Partition((1,)))
         with pytest.raises(VerificationError):
             from_core_quotient(1, Bipartition.of((2,), ()))
+
+
+class TestAbacusCoreMatchesDominoPeeling:
+    def test_exhaustive(self):
+        for n in range(19):
+            for lam in partitions_of(n):
+                assert two_core_partition(lam) == domino_peeling_core(lam)
+
+    @given(partitions_up_to(30))
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, lam):
+        assert two_core_partition(lam) == domino_peeling_core(lam)
 
 
 class TestDominoOrderIndependence:
