@@ -2,8 +2,10 @@
 
 Partitions are written as comma-separated descending integers (empty string
 for the empty partition), bipartitions as two partitions separated by a
-slash, e.g. ``3,1,1/4,2``.  Exit status: 0 on success, 2 on bad arguments,
-1 when a verification run reports a failure or the library fails inside.
+slash, e.g. ``3,1,1/4,2``.  Each subcommand handler ``cmd_*(args)`` reads the
+parsed arguments and returns one `Document`.  Exit status: 0 on success, 2 on
+bad arguments or an exceeded ``--max-*`` cap, 1 when a verification run
+reports a failure or the library raises any other exception inside a handler.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import factorial
 from . import deligne_lusztig as dl
 from . import harish_chandra as hc
 from . import weyl_characters as wc
-from .errors import ExactDivisionError, RankCapError, VerificationError
+from .errors import RankCapError, VerificationError
 from .partitions import (
     Bipartition,
     Partition,
@@ -40,21 +42,8 @@ from .unipotent import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Soft per-subsystem rank caps and output settings."""
-
-    max_n: int = 8
-    max_a: int = 5
-    max_theta: int = 8
-    max_k: int = 8
-    fmt: str = "table"
-    out: str | None = None
-    quiet: bool = False
-    verbose: bool = False
-
-
-DEFAULTS = RunConfig()
+# default soft caps, each raised with --max-<name>
+CAPS = {"n": 8, "a": 5, "theta": 8, "k": 8}
 
 
 class CliError(Exception):
@@ -105,11 +94,12 @@ def _fmt_labels(reps: hc.RepMultiset) -> str:
 
 @dataclass
 class Document:
-    """One rendered result: pretty text, JSON object, optional CSV rows."""
+    """One rendered result: pretty text, JSON object, optional CSV rows, exit status."""
 
     text: str
     payload: object
     rows: list[list] | None = None
+    status: int = 0
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -122,14 +112,16 @@ class Document:
         return self.text
 
 
-def _check_cap(value: int, cap: int, default_cap: int, flag: str, what: str, cfg: RunConfig):
+def _check_cap(args, name: str, value: int, what: str) -> None:
+    """Enforce the soft cap --max-<name>, warning when it is raised above CAPS[name]."""
+    flag, cap = f"--max-{name}", getattr(args, f"max_{name}")
     if value > cap:
         raise CliError(
             f"{what} {value} exceeds the cap {cap}; raise it with {flag} if you accept the runtime"
         )
-    if cap > default_cap and not cfg.quiet:
+    if cap > CAPS[name] and not args.quiet:
         print(
-            f"warning: {flag} raised above the default {default_cap}; expect longer runtimes",
+            f"warning: {flag} raised above the default {CAPS[name]}; expect longer runtimes",
             file=sys.stderr,
         )
 
@@ -137,7 +129,7 @@ def _check_cap(value: int, cap: int, default_cap: int, flag: str, what: str, cfg
 # -- subcommand handlers -----------------------------------------------------
 
 
-def cmd_char_sym(args, cfg: RunConfig) -> Document:
+def cmd_char_sym(args) -> Document:
     lam, klass = parse_partition(args.lam), parse_partition(args.klass)
     if lam.size != klass.size:
         raise CliError(f"|lambda| = {lam.size} but |class| = {klass.size}")
@@ -148,7 +140,7 @@ def cmd_char_sym(args, cfg: RunConfig) -> Document:
     )
 
 
-def cmd_char_b(args, cfg: RunConfig) -> Document:
+def cmd_char_b(args) -> Document:
     label, klass = parse_bipartition(args.label), parse_bipartition(args.klass)
     if label.size != klass.size:
         raise CliError(f"|label| = {label.size} but |class| = {klass.size}")
@@ -163,16 +155,16 @@ def cmd_char_b(args, cfg: RunConfig) -> Document:
     )
 
 
-def cmd_table(args, cfg: RunConfig) -> Document:
+def cmd_table(args) -> Document:
     if args.group == "sym":
         if args.n is None:
             raise CliError("--n is required for --group sym")
-        _check_cap(args.n, cfg.max_n, DEFAULTS.max_n, "--max-n", "symmetric rank", cfg)
+        _check_cap(args, "n", args.n, "symmetric rank")
         table = wc.character_table_sym(args.n)
     else:
         if args.a is None:
             raise CliError("--a is required for --group b")
-        _check_cap(args.a, cfg.max_a, DEFAULTS.max_a, "--max-a", "type-B rank", cfg)
+        _check_cap(args, "a", args.a, "type-B rank")
         table = wc.character_table_typeb(args.a)
 
     def show(item) -> str:
@@ -192,7 +184,7 @@ def cmd_table(args, cfg: RunConfig) -> Document:
     return Document(text="\n".join(lines), payload=table.to_json(), rows=rows)
 
 
-def cmd_degree(args, cfg: RunConfig) -> Document:
+def cmd_degree(args) -> Document:
     lam = parse_partition(args.lam)
     poly = degree_u(lam) if args.group == "u" else degree_gl(lam)
     payload = {"group": args.group, "partition": list(lam), "degree": poly.to_json()}
@@ -204,7 +196,7 @@ def cmd_degree(args, cfg: RunConfig) -> Document:
     return Document(text=text, payload=payload)
 
 
-def cmd_two_core(args, cfg: RunConfig) -> Document:
+def cmd_two_core(args) -> Document:
     lam = parse_partition(args.lam)
     cq = core_quotient(lam)
     return Document(
@@ -213,7 +205,7 @@ def cmd_two_core(args, cfg: RunConfig) -> Document:
     )
 
 
-def cmd_two_quotient(args, cfg: RunConfig) -> Document:
+def cmd_two_quotient(args) -> Document:
     lam = parse_partition(args.lam)
     cq = core_quotient(lam)
     quotient = [list(cq.quotient.first), list(cq.quotient.second)]
@@ -223,7 +215,7 @@ def cmd_two_quotient(args, cfg: RunConfig) -> Document:
     )
 
 
-def cmd_reconstruct(args, cfg: RunConfig) -> Document:
+def cmd_reconstruct(args) -> Document:
     quotient = parse_bipartition(args.quotient)
     lam = from_core_quotient(args.t, quotient)
     return Document(
@@ -236,7 +228,7 @@ def cmd_reconstruct(args, cfg: RunConfig) -> Document:
     )
 
 
-def cmd_label(args, cfg: RunConfig) -> Document:
+def cmd_label(args) -> Document:
     if args.lam is not None:
         lam = parse_partition(args.lam)
         sym = to_symbol(lam)
@@ -251,7 +243,7 @@ def cmd_label(args, cfg: RunConfig) -> Document:
     )
 
 
-def cmd_series(args, cfg: RunConfig) -> Document:
+def cmd_series(args) -> Document:
     lam = parse_partition(args.lam)
     series = hc_series(lam)
     cuspidal = cuspidal_partition(series.n)
@@ -273,7 +265,7 @@ def cmd_series(args, cfg: RunConfig) -> Document:
     )
 
 
-def cmd_pieri(args, cfg: RunConfig) -> Document:
+def cmd_pieri(args) -> Document:
     label = parse_bipartition(args.label)
     if (args.add is None) == (args.remove is None):
         raise CliError("exactly one of --add or --remove is required")
@@ -293,7 +285,7 @@ def cmd_pieri(args, cfg: RunConfig) -> Document:
     )
 
 
-def cmd_induce(args, cfg: RunConfig) -> Document:
+def cmd_induce(args) -> Document:
     sym = SymbolLabel(args.t, parse_partition(args.alpha), parse_partition(args.beta))
     try:
         gl_ranks = tuple(int(x) for x in args.gl.split(",") if x.strip() != "")
@@ -329,13 +321,13 @@ def _cohomology_document(table: dl.CohomologyTable) -> Document:
     return Document(text="\n".join(lines), payload=table.to_json(), rows=rows)
 
 
-def cmd_coxeter(args, cfg: RunConfig) -> Document:
-    _check_cap(args.k, cfg.max_k, DEFAULTS.max_k, "--max-k", "Coxeter rank k", cfg)
+def cmd_coxeter(args) -> Document:
+    _check_cap(args, "k", args.k, "Coxeter rank k")
     return _cohomology_document(dl.coxeter_cohomology(args.k))
 
 
-def cmd_stratum(args, cfg: RunConfig) -> Document:
-    _check_cap(args.theta, cfg.max_theta, DEFAULTS.max_theta, "--max-theta", "theta", cfg)
+def cmd_stratum(args) -> Document:
+    _check_cap(args, "theta", args.theta, "theta")
     if args.method == "closed":
         table = dl.closed_stratum_cohomology(args.theta)
     else:
@@ -387,19 +379,19 @@ def _foundation_checks(max_rank: int = 3) -> list[dl.CheckResult]:
     return checks
 
 
-def cmd_verify(args, cfg: RunConfig) -> tuple[Document, int]:
+def cmd_verify(args) -> Document:
     checks: list[dl.CheckResult] = []
     if args.theta is not None:
-        _check_cap(args.theta, cfg.max_theta, DEFAULTS.max_theta, "--max-theta", "theta", cfg)
+        _check_cap(args, "theta", args.theta, "theta")
         checks.extend(dl.verify_stratum(args.theta).checks)
     if args.k is not None:
-        _check_cap(args.k, cfg.max_k, DEFAULTS.max_k, "--max-k", "k", cfg)
+        _check_cap(args, "k", args.k, "k")
         checks.extend(dl.coxeter_dimension_checks(args.k))
         if args.k >= 1:
             checks.extend(dl.coxeter_restriction_checks(args.k))
     if args.theta is None and args.k is None:
-        sweep_theta = min(cfg.max_theta, 6)
-        sweep_k = min(cfg.max_k, 6)
+        sweep_theta = min(args.max_theta, 6)
+        sweep_k = min(args.max_k, 6)
         checks.extend(_foundation_checks())
         for k in range(sweep_k + 1):
             checks.extend(dl.coxeter_dimension_checks(k))
@@ -411,17 +403,12 @@ def cmd_verify(args, cfg: RunConfig) -> tuple[Document, int]:
     ok = all(c.passed for c in checks)
     lines = [c.line() for c in checks]
     lines.append(f"{'OK' if ok else 'FAILED'}: {sum(c.passed for c in checks)}/{len(checks)} checks passed")
-    doc = Document(
+    return Document(
         text="\n".join(lines),
-        payload={
-            "ok": ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "details": c.details} for c in checks
-            ],
-        },
+        payload={"ok": ok, "checks": [c.to_json() for c in checks]},
         rows=[["status", "check"]] + [["PASS" if c.passed else "FAIL", c.name] for c in checks],
+        status=0 if ok else 1,
     )
-    return doc, 0 if ok else 1
 
 
 # -- parser -------------------------------------------------------------------
@@ -436,10 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     common.add_argument("--out", metavar="PATH", default=None, help="write output to a file")
-    common.add_argument("--max-n", type=int, default=DEFAULTS.max_n)
-    common.add_argument("--max-a", type=int, default=DEFAULTS.max_a)
-    common.add_argument("--max-theta", type=int, default=DEFAULTS.max_theta)
-    common.add_argument("--max-k", type=int, default=DEFAULTS.max_k)
+    for name, default in CAPS.items():
+        common.add_argument(f"--max-{name}", type=int, default=default)
     common.add_argument("-q", "--quiet", action="store_true")
     common.add_argument("-v", "--verbose", action="store_true")
 
@@ -522,48 +507,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        max_n=args.max_n,
-        max_a=args.max_a,
-        max_theta=args.max_theta,
-        max_k=args.max_k,
-        fmt=args.format,
-        out=args.out,
-        quiet=args.quiet,
-        verbose=args.verbose,
-    )
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         check_nonnegative(args)
-        result = args.handler(args, cfg)
+        doc = args.handler(args)
     except (CliError, RankCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (ExactDivisionError, ValueError) as exc:
-        # arguments were validated above, so a ValueError is the library's fault
+    except Exception as exc:
+        # arguments were validated above, so any other exception is the library's fault
         print(f"internal failure: {exc}", file=sys.stderr)
         return 1
-    if cfg.verbose and not cfg.quiet:
+    if args.verbose and not args.quiet:
         print(f"computed in {time.monotonic() - started:.3f}s", file=sys.stderr)
 
-    if isinstance(result, tuple):
-        doc, status = result
-    else:
-        doc, status = result, 0
-    rendered = doc.render(cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    rendered = doc.render(args.format)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(rendered + "\n")
-        if not cfg.quiet:
-            print(f"wrote {cfg.out}", file=sys.stderr)
+        if not args.quiet:
+            print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(rendered)
-    return status
+    return doc.status
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import ExactDivisionError, VerificationError
+from .errors import VerificationError
 from . import harish_chandra as hc
 from .harish_chandra import LeviShape, LeviUnipotentLabel, RepMultiset
 from .partitions import Partition
@@ -410,6 +410,9 @@ class CheckResult:
         suffix = f": {self.details}" if (self.details and not self.passed) else ""
         return f"{status} {self.name}{suffix}"
 
+    def to_json(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "details": self.details}
+
 
 @dataclass(frozen=True)
 class StratumVerification:
@@ -421,13 +424,7 @@ class StratumVerification:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "theta": self.theta,
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "details": c.details} for c in self.checks
-            ],
-        }
+        return {"theta": self.theta, "ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
 
 def verify_stratum(theta: int) -> StratumVerification:
@@ -440,25 +437,24 @@ def verify_stratum(theta: int) -> StratumVerification:
     All dimension identities are exact polynomial identities in q.  Each call
     builds one first page (one `stratum_term` call per cell, each cell's
     dimension at most once) and assembles the table from it once; all checks
-    read these, and nothing is kept between calls.  A VerificationError or
-    ExactDivisionError while building them fails all five checks with its
-    message as details; one inside a check fails only that check.  Other
-    exceptions propagate.
+    read these, and nothing is kept between calls.  Any exception while
+    building the table or the closed formula fails all five checks with its
+    message as details; one raised inside a check fails only that check.
     """
     checks: list[CheckResult] = []
     prefix = f"(theta={theta})"
-    closed = closed_stratum_cohomology(theta)
     page = SpectralPage(theta)
     build_failure: list[str] = []
     try:
+        closed = closed_stratum_cohomology(theta)
         table = stratum_cohomology(theta, page)
-    except (VerificationError, ExactDivisionError) as exc:
+    except Exception as exc:
         build_failure = [str(exc)]
 
     def run(name, body):
         try:
             failures = build_failure or body()
-        except (VerificationError, ExactDivisionError) as exc:
+        except Exception as exc:
             failures = [str(exc)]
         checks.append(CheckResult(f"{name} {prefix}", not failures, "; ".join(failures)))
 

@@ -78,14 +78,12 @@ class BetaSet(NamedTuple):
 
 
 class BorderStrip(NamedTuple):
-    """A removable border strip: its size, height (rows spanned minus 1),
-    the partition left after removal, and for bipartition labels which
-    component it was removed from ("first"/"second", else None)."""
+    """A removable border strip: its size, height (rows spanned minus 1) and
+    the partition left after removal."""
 
     size: int
     height: int
     result: Partition
-    host: Optional[str] = None
 
 
 class CoreQuotient(NamedTuple):

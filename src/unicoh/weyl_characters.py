@@ -9,6 +9,7 @@ provided as an independent oracle for small rank.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import factorial
@@ -17,7 +18,6 @@ from typing import Iterator
 from .errors import RankCapError
 from .partitions import (
     Bipartition,
-    BorderStrip,
     Partition,
     bipartitions_of,
     border_strips,
@@ -46,14 +46,6 @@ def chi_sym(lam: Partition, nu: Partition) -> int:
     return total
 
 
-def _bipartition_strips(label: Bipartition, size: int) -> Iterator[tuple[BorderStrip, Bipartition]]:
-    alpha, beta = label
-    for strip in border_strips(alpha, size):
-        yield strip._replace(host="first"), Bipartition(strip.result, beta)
-    for strip in border_strips(beta, size):
-        yield strip._replace(host="second"), Bipartition(alpha, strip.result)
-
-
 @cache
 def chi_typeb(label: Bipartition, klass: Bipartition) -> int:
     """Character value of the hyperoctahedral group W_a.
@@ -76,26 +68,20 @@ def chi_typeb(label: Bipartition, klass: Bipartition) -> int:
         eps, x = -1, theta[-1]
         rest = Bipartition(gamma, Partition(theta[:-1]))
     total = 0
-    for strip, remaining in _bipartition_strips(label, x):
-        f = 0 if strip.host == "first" else 1
-        total += (-1) ** strip.height * eps**f * chi_typeb(remaining, rest)
+    for strip in border_strips(alpha, x):
+        total += (-1) ** strip.height * chi_typeb(Bipartition(strip.result, beta), rest)
+    for strip in border_strips(beta, x):
+        total += (-1) ** strip.height * eps * chi_typeb(Bipartition(alpha, strip.result), rest)
     return total
 
 
 # -- class sizes -------------------------------------------------------
 
 
-def _multiplicities(nu: Partition) -> dict[int, int]:
-    mult: dict[int, int] = {}
-    for p in nu:
-        mult[p] = mult.get(p, 0) + 1
-    return mult
-
-
 def sym_centralizer_order(nu: Partition) -> int:
     return reduce(
         lambda acc, item: acc * item[0] ** item[1] * factorial(item[1]),
-        _multiplicities(Partition(nu)).items(),
+        Counter(Partition(nu)).items(),
         1,
     )
 
@@ -109,7 +95,7 @@ def sym_class_size(nu: Partition) -> int:
 def typeb_centralizer_order(klass: Bipartition) -> int:
     order = 1
     for component in klass:
-        for length, m in _multiplicities(component).items():
+        for length, m in Counter(component).items():
             order *= (2 * length) ** m * factorial(m)
     return order
 

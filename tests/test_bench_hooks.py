@@ -1,0 +1,59 @@
+"""The benchmark's tracer wraps package functions by name; keep those names resolvable.
+
+``perfbench/tracer.py`` lists the functions it times (``TRACED``) and the
+cached ones whose hit counts it reads (``CACHED``).  A rename or a change of
+decorator in the package would silently drop them from a traced bench run,
+so these tests resolve every name the way ``Tracer._plan`` does.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("unicoh_bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+def _resolve(module_name: str, path: str):
+    """Owner and attribute of a traced function, read through vars() as the tracer does."""
+    owner, *attrs = [importlib.import_module(f"unicoh.{module_name}")] + path.split(".")
+    for attr in attrs[:-1]:
+        owner = getattr(owner, attr)
+    return owner, attrs[-1]
+
+
+@pytest.mark.parametrize("module_name,path,name", tracer.TRACED, ids=[t[2] for t in tracer.TRACED])
+def test_traced_name_resolves(module_name, path, name):
+    owner, attr = _resolve(module_name, path)
+    assert attr in vars(owner), f"{name}: {attr!r} is not defined on {owner!r}"
+    assert callable(vars(owner)[attr])
+
+
+@pytest.mark.parametrize("name", tracer.CACHED)
+def test_cached_name_is_functools_cache(name):
+    (module_name, path), = [(m, p) for m, p, n in tracer.TRACED if n == name]
+    owner, attr = _resolve(module_name, path)
+    fn = vars(owner)[attr]
+    assert callable(getattr(fn, "cache_info", None)), f"{name} has no cache_info()"
+    assert fn.cache_parameters() == {"maxsize": None, "typed": False}
+
+
+def test_plan_patches_every_traced_function():
+    for module_name, path, _ in tracer.TRACED:
+        _resolve(module_name, path)
+    plan = tracer.Tracer()._plan()
+    patched = {id(original) for _, _, original, _ in plan}
+    for module_name, path, name in tracer.TRACED:
+        owner, attr = _resolve(module_name, path)
+        assert id(vars(owner)[attr]) in patched, f"{name} would not be traced"

@@ -327,3 +327,109 @@ class TestArgparseBehaviour:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+
+class TestCaps:
+    # (argv one above the default cap, flag that raises it)
+    OVER_CAP = [
+        (("table", "--group", "sym", "--n", "9"), "n"),
+        (("table", "--group", "b", "--a", "6"), "a"),
+        (("stratum", "--theta", "9"), "theta"),
+        (("coxeter", "--k", "9"), "k"),
+    ]
+    # (cheap argv, cap name) to exercise a raised cap without the runtime
+    CHEAP = [
+        (("table", "--group", "sym", "--n", "2"), "n"),
+        (("table", "--group", "b", "--a", "1"), "a"),
+        (("stratum", "--theta", "1"), "theta"),
+        (("coxeter", "--k", "1"), "k"),
+    ]
+
+    def test_table_lists_every_cap(self):
+        assert set(cli.CAPS) == {"n", "a", "theta", "k"}
+        assert [name for _, name in self.OVER_CAP] == list(cli.CAPS)
+
+    @pytest.mark.parametrize("argv,name", OVER_CAP)
+    def test_over_cap_is_usage_error(self, capsys, argv, name):
+        assert int(argv[-1]) == cli.CAPS[name] + 1
+        status, out, err = run(capsys, *argv)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"--max-{name}" in err
+        assert f"exceeds the cap {cli.CAPS[name]}" in err
+
+    @pytest.mark.parametrize("argv,name", CHEAP)
+    def test_raised_cap_warns_with_default(self, capsys, argv, name):
+        status, _, err = run(capsys, *argv, f"--max-{name}", str(cli.CAPS[name] + 1))
+        assert status == 0
+        assert err == (
+            f"warning: --max-{name} raised above the default {cli.CAPS[name]}; "
+            "expect longer runtimes\n"
+        )
+
+    @pytest.mark.parametrize("argv,name", CHEAP)
+    def test_quiet_silences_raised_cap(self, capsys, argv, name):
+        status, _, err = run(capsys, *argv, f"--max-{name}", str(cli.CAPS[name] + 1), "-q")
+        assert status == 0
+        assert err == ""
+
+    @pytest.mark.parametrize("argv,name", CHEAP)
+    def test_cap_at_default_is_silent(self, capsys, argv, name):
+        status, _, err = run(capsys, *argv, f"--max-{name}", str(cli.CAPS[name]))
+        assert status == 0
+        assert err == ""
+
+
+class TestLibraryFailures:
+    @pytest.mark.parametrize(
+        "exc,shown", [(KeyError("injected"), "'injected'"), (ZeroDivisionError("injected"), "injected")]
+    )
+    def test_any_library_exception_exits_1(self, capsys, monkeypatch, exc, shown):
+        def failing(lam):
+            raise exc
+
+        monkeypatch.setattr(cli, "degree_u", failing)
+        status, out, err = run(capsys, "degree", "--group", "u", "--lambda", "2,1")
+        assert status == 1
+        assert out == ""
+        assert err == f"internal failure: {shown}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [KeyError, ZeroDivisionError])
+    def test_failure_inside_verify_is_internal(self, capsys, monkeypatch, exc):
+        def failing(k):
+            raise exc("injected")
+
+        monkeypatch.setattr(dl, "coxeter_dimension_checks", failing)
+        status, out, err = run(capsys, "verify", "--k", "1")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("internal failure: ")
+
+    def test_keyboard_interrupt_is_not_caught(self, monkeypatch):
+        def interrupted(lam):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "degree_u", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["degree", "--lambda", "2,1"])
+
+
+class TestCheckEncoding:
+    def test_verify_json_uses_the_check_encoder(self, capsys):
+        status, out, _ = run(capsys, "verify", "--theta", "2", "--format", "json")
+        report = dl.verify_stratum(2)
+        assert status == 0
+        assert json.loads(out) == {"ok": True, "checks": report.to_json()["checks"]}
+        assert report.to_json()["checks"] == [c.to_json() for c in report.checks]
+
+    def test_failed_verify_sets_document_status(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            dl, "coxeter_dimension_checks", lambda k: [dl.CheckResult("injected", False)]
+        )
+        status, out, _ = run(capsys, "verify", "--k", "0", "--format", "json")
+        assert status == 1
+        assert json.loads(out) == {
+            "ok": False,
+            "checks": [{"name": "injected", "passed": False, "details": ""}],
+        }

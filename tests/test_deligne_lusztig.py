@@ -296,6 +296,35 @@ class TestFirstPageOncePerCall:
         report = verify_stratum(2)
         assert [(c.passed, c.details) for c in report.checks] == [(False, "injected")] * 5
 
+    def test_any_exception_in_a_check_fails_that_check(self, monkeypatch):
+        def failing(lam):
+            raise TypeError(f"degree of {tuple(lam)}: injected")
+
+        monkeypatch.setattr(unipotent, "degree_u", failing)
+        report = verify_stratum(2)
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed == [
+            "euler-characteristic-additivity (theta=2)",
+            "eigenvalue-alternating-sums (theta=2)",
+        ]
+        assert all(": injected" in c.details for c in report.checks if not c.passed)
+
+    def test_any_exception_while_building_fails_every_check(self, monkeypatch):
+        def failing(theta, theta_prime, a):
+            raise KeyError("injected")
+
+        monkeypatch.setattr(dl, "stratum_term", failing)
+        report = verify_stratum(2)
+        assert [(c.passed, c.details) for c in report.checks] == [(False, "'injected'")] * 5
+
+    def test_closed_formula_failure_fails_every_check(self, monkeypatch):
+        def failing(theta):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(dl, "closed_stratum_cohomology", failing)
+        report = verify_stratum(2)
+        assert [(c.passed, c.details) for c in report.checks] == [(False, "injected")] * 5
+
     @pytest.mark.parametrize("theta", range(0, 9))
     def test_readers_agree_with_and_without_page(self, theta):
         page = SpectralPage(theta)
