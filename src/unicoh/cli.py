@@ -527,8 +527,12 @@ def main(argv: list[str] | None = None) -> int:
 
     rendered = doc.render(args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         if not args.quiet:
             print(f"wrote {args.out}", file=sys.stderr)
     else:

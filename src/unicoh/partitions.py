@@ -8,6 +8,7 @@ share across threads.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import VerificationError
@@ -132,12 +133,17 @@ def hook_lengths(lam: Partition) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@cache
 def border_strips(lam: Partition, size: int) -> tuple[BorderStrip, ...]:
     """All removable border strips of the given size.
 
     Removing a strip of size x is the beta-set move beta_i -> beta_i - x
     landing on a free nonnegative value; the height is the number of beta
     values strictly between beta_i - x and beta_i.
+
+    Memoised per (lam, size), so both arguments must be hashable (a
+    Partition or a plain tuple of parts, not a list); the Murnaghan-Nakayama
+    recursions ask for the same few strip sets many times over.
     """
     lam = Partition(lam)
     if size <= 0:

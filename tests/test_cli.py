@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from unicoh import Bipartition, ExactDivisionError, Partition
 from unicoh import cli
 from unicoh import deligne_lusztig as dl
 from unicoh import harish_chandra as hc
+from unicoh import partitions
 from unicoh import weyl_characters as wc
 from unicoh.cli import main, parse_bipartition, parse_partition
 
@@ -211,6 +214,14 @@ class TestTables:
         assert out == ""
         assert json.loads(target.read_text())["variety"] == "closed-stratum(theta=1)"
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x.json"
+        status, out, err = run(capsys, "two-core", "--lambda", "2,1", "--out", str(target))
+        assert status == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_single_theta_report(self, capsys):
@@ -274,6 +285,36 @@ class TestMutationDetection:
 
         monkeypatch.setattr(wc, "chi_sym", broken)
         status, out, err = run(capsys, "verify", "-q")
+        assert status == 1
+
+
+def _clear_character_caches():
+    for fn in (wc.chi_sym, wc.chi_typeb, partitions.border_strips):
+        fn.cache_clear()
+
+
+@pytest.fixture
+def character_caches():
+    """Clear the character and strip caches after the test, so values
+    computed under an injected fault do not leak into later tests."""
+    yield _clear_character_caches
+    _clear_character_caches()
+
+
+class TestStripCacheFault:
+    def test_strip_fault_behind_warm_cache_flips_verify(self, capsys, monkeypatch, character_caches):
+        clean = wc.character_table_typeb(3)
+        assert partitions.border_strips.cache_info().currsize > 0
+        original = wc.border_strips
+
+        def broken(lam, size):
+            strips = original(lam, size)
+            return strips[:-1] if lam == Partition((2, 1)) and size == 1 else strips
+
+        monkeypatch.setattr(wc, "border_strips", broken)
+        character_caches()
+        assert wc.character_table_typeb(3).values != clean.values
+        status, _, _ = run(capsys, "verify", "-q")
         assert status == 1
 
 
@@ -433,3 +474,12 @@ class TestCheckEncoding:
             "ok": False,
             "checks": [{"name": "injected", "passed": False, "details": ""}],
         }
+
+
+class TestBenchGolden:
+    def test_w7_table_matches_bench_digest(self, capsys):
+        golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+        status = main(["table", "--group", "b", "--a", "7", "--max-a", "7", "-q", "--format", "json"])
+        out = capsys.readouterr().out
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["char-tables"]

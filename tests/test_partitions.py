@@ -139,6 +139,30 @@ class TestBorderStrips:
         assert ours == geometric_border_strips(lam, size)
 
 
+class TestBorderStripCache:
+    def test_repeated_calls_agree(self):
+        lam = Partition((4, 3, 3, 1))
+        first = border_strips(lam, 3)
+        assert isinstance(first, tuple)
+        assert border_strips(lam, 3) == first
+
+    def test_nonpositive_size_raises_every_time(self):
+        # exceptions are not cached, so the check runs on each call
+        for _ in range(2):
+            with pytest.raises(ValueError, match="strip size must be positive"):
+                border_strips(Partition((2, 1)), 0)
+
+    def test_plain_tuple_and_partition_agree(self):
+        assert border_strips((3, 3, 2, 2, 1), 4) == border_strips(Partition((3, 3, 2, 2, 1)), 4)
+        assert all(isinstance(s.result, Partition) for s in border_strips((3, 1, 1), 2))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cached_matches_uncached(self, n):
+        for lam in partitions_of(n):
+            for size in range(1, n + 1):
+                assert border_strips(lam, size) == border_strips.__wrapped__(lam, size), (lam, size)
+
+
 class TestCoreQuotient:
     def test_core_worked_example(self):
         assert two_core(Partition((3, 3, 2, 2, 1))) == 1
