@@ -11,7 +11,7 @@ can be read off directly.  Example:
 import argparse
 import sys
 
-from unicoh import from_symbol, spectral_first_page
+from unicoh import SpectralPage, eo_stratum_cohomology, from_symbol
 
 
 def main() -> int:
@@ -20,22 +20,22 @@ def main() -> int:
     parser.add_argument("--dims", action="store_true", help="also print dimension polynomials")
     args = parser.parse_args()
 
-    page = spectral_first_page(args.theta)
+    page = SpectralPage(args.theta)
+    # every column is built before the first line, so a faulty stratum term raises here
+    columns = [eo_stratum_cohomology(page.theta, tp, page) for tp in range(page.theta + 1)]
     print(f"first page, theta = {page.theta} (columns = strata, rows = total degree)")
     for degree in range(2 * page.theta, -1, -1):
-        cells = [c for c in page.cells if c.degree == degree]
-        if not cells:
-            continue
         chunks = []
-        for cell in sorted(cells, key=lambda c: c.column):
+        for column, table in enumerate(columns):
             parts = []
-            for exponent, reps in cell.parts:
-                labels = " + ".join(str(list(from_symbol(l))) for l in reps)
-                piece = f"(-q)^{exponent}: {labels}"
+            for entry in table.at(degree):
+                labels = " + ".join(str(list(from_symbol(l))) for l in entry.constituents)
+                piece = f"(-q)^{entry.frobenius_exponent}: {labels}"
                 if args.dims:
-                    piece += f" [dim {reps.dimension_poly()}]"
+                    piece += f" [dim {page.dimension(column, entry.frobenius_exponent)}]"
                 parts.append(piece)
-            chunks.append(f"col {cell.column} | " + " ; ".join(parts))
+            if parts:
+                chunks.append(f"col {column} | " + " ; ".join(parts))
         print(f"  degree {degree}:")
         for chunk in chunks:
             print(f"    {chunk}")

@@ -39,16 +39,13 @@ from .unipotent import (
     SymbolLabel,
     cuspidal_partition,
     degree_gl,
-    degree_gl_at,
     degree_u,
-    degree_u_at,
     from_symbol,
     hc_series,
     to_symbol,
 )
 from .harish_chandra import (
     LeviShape,
-    LeviUnipotentLabel,
     RepMultiset,
     hc_induce,
     induction_multiplicity_oracle,
@@ -65,7 +62,6 @@ from .deligne_lusztig import (
     coxeter_eigenspace_dim,
     coxeter_hook,
     eo_stratum_cohomology,
-    spectral_first_page,
     stratum_cohomology,
     stratum_term,
     tate_twist,

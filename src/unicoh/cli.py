@@ -294,8 +294,7 @@ def cmd_induce(args) -> Document:
     if any(r < 0 for r in gl_ranks):
         raise CliError("GL ranks must be nonnegative")
     shape = hc.LeviShape(unitary_rank=sym.rank, gl_ranks=gl_ranks)
-    label = hc.LeviUnipotentLabel(sym, tuple(Partition((r,) if r else ()) for r in gl_ranks))
-    result = hc.hc_induce(shape, label)
+    result = hc.hc_induce(shape, sym)
     return Document(
         text=f"U_{shape.n}(q) constituents: {_fmt_labels(result)}",
         payload={

@@ -16,13 +16,13 @@ pattern is not the expected one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .errors import VerificationError
 from . import harish_chandra as hc
-from .harish_chandra import LeviShape, LeviUnipotentLabel, RepMultiset
+from .harish_chandra import LeviShape, RepMultiset
 from .partitions import Partition
 from .polynomial import IntPolynomial, prod, q_minus_sign
 from .unipotent import SymbolLabel, from_symbol, symbol_degree, to_symbol
@@ -70,13 +70,12 @@ class CohomologyTable:
         entry = self._index.get(degree, {}).get(exponent)
         return RepMultiset() if entry is None else entry.constituents
 
-    def degree_constituents(self, degree: int) -> dict[SymbolLabel, int]:
+    def degree_constituents(self, degree: int) -> Counter[SymbolLabel]:
         """All constituents in one degree, across eigenvalues (so possibly
         across cuspidal supports), as a plain multiplicity map."""
-        out: dict[SymbolLabel, int] = {}
+        out: Counter[SymbolLabel] = Counter()
         for e in self.at(degree):
-            for label in e.constituents:
-                out[label] = out.get(label, 0) + e.constituents.multiplicity(label)
+            out.update(e.constituents.counts)
         return out
 
     def euler_characteristic(self) -> IntPolynomial:
@@ -190,11 +189,8 @@ def _check_stratum_args(theta: int, theta_prime: int) -> None:
 def _stratum_term_pieri(theta: int, theta_prime: int, a: int) -> RepMultiset:
     """Induce the exponent-a Coxeter label of U_{2theta_prime+1} tensored with the
     trivial GL_{theta-theta_prime}(q^2) label up to U_{2theta+1}(q)."""
-    sym = to_symbol(coxeter_hook(theta_prime, a))
-    gl_rank = theta - theta_prime
-    shape = LeviShape(unitary_rank=2 * theta_prime + 1, gl_ranks=(gl_rank,))
-    label = LeviUnipotentLabel(sym, (Partition((gl_rank,) if gl_rank else ()),))
-    return hc.hc_induce(shape, label)
+    shape = LeviShape(unitary_rank=2 * theta_prime + 1, gl_ranks=(theta - theta_prime,))
+    return hc.hc_induce(shape, to_symbol(coxeter_hook(theta_prime, a)))
 
 
 def _stratum_term_explicit(theta: int, theta_prime: int, a: int) -> RepMultiset:
@@ -249,18 +245,12 @@ def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:
     return via_pieri
 
 
-@dataclass(frozen=True)
-class SpectralCell:
-    column: int
-    degree: int
-    parts: tuple[tuple[int, RepMultiset], ...]
-
-
 class SpectralPage:
     """First page of the stratification spectral sequence for one theta: maps
-    each cell (theta', a), in column theta' and degree theta' + a // 2, to its
-    stratum term, built on first use by the module-level `stratum_term` (so its
-    guards run) and kept, with its dimension, for the life of the page."""
+    each cell (theta', a) to its stratum term, built on first use by the
+    module-level `stratum_term` (so its guards run) and kept, with its
+    dimension, for the life of the page.  `eo_stratum_cohomology` places the
+    cells of column theta' in their degrees."""
 
     def __init__(self, theta: int):
         if theta < 0:
@@ -278,23 +268,6 @@ class SpectralPage:
         if (theta_prime, a) not in self._dims:
             self._dims[theta_prime, a] = self.term(theta_prime, a).dimension_poly()
         return self._dims[theta_prime, a]
-
-    def cell(self, column: int, degree: int) -> Optional[SpectralCell]:
-        if not (0 <= column <= self.theta and column <= degree <= 2 * column):
-            return None
-        exponents = range(2 * (degree - column), min(2 * (degree - column) + 2, 2 * column + 1))
-        return SpectralCell(column, degree, tuple((a, self.term(column, a)) for a in exponents))
-
-    @property
-    def cells(self) -> tuple[SpectralCell, ...]:
-        """Every cell, column by column and by increasing degree."""
-        return tuple(self.cell(c, d) for c in range(self.theta + 1) for d in range(c, 2 * c + 1))
-
-
-def spectral_first_page(theta: int) -> SpectralPage:
-    page = SpectralPage(theta)
-    page.cells  # build every cell now, so that a faulty stratum term raises here
-    return page
 
 
 def eo_stratum_cohomology(
@@ -528,14 +501,12 @@ def coxeter_restriction_checks(k: int) -> list[CheckResult]:
     for entry in upper.entries:
         a = entry.frobenius_exponent
         i = entry.degree - k
-        restricted: dict[SymbolLabel, int] = {}
-        for label in entry.constituents:
+        restricted: Counter[SymbolLabel] = Counter()
+        for label, mult in entry.constituents.counts.items():
             if label.bipartition.size == 0:
                 continue  # cuspidal: restricts to zero
-            mult = entry.constituents.multiplicity(label)
             for bip in hc.pieri_restrict(label.bipartition, 1):
-                out = SymbolLabel(label.t, bip.first, bip.second)
-                restricted[out] = restricted.get(out, 0) + mult
+                restricted[SymbolLabel(label.t, bip.first, bip.second)] += mult
         lhs = RepMultiset(restricted)
         rhs = lower.eigenspace(k - 1 + i, a)
         for low_entry in lower.at(k - 1 + i - 1):

@@ -9,6 +9,7 @@ character tables cross-checks the rule at small rank.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from math import factorial
@@ -219,10 +220,6 @@ class RepMultiset:
             for label in self.sorted_labels()
         ]
 
-    @classmethod
-    def from_json(cls, data: list[dict]) -> "RepMultiset":
-        return cls({SymbolLabel.from_json(d["label"]): int(d["multiplicity"]) for d in data})
-
 
 # -- Levi shapes and induction --------------------------------------------
 
@@ -243,45 +240,25 @@ class LeviShape:
         return self.unitary_rank + 2 * sum(self.gl_ranks)
 
 
-@dataclass(frozen=True)
-class LeviUnipotentLabel:
-    """A unipotent label of a Levi: symbol for the unitary block, one partition per GL block."""
+def hc_induce(shape: LeviShape, unitary: SymbolLabel) -> RepMultiset:
+    """Harish-Chandra induction from the Levi up to U_n(q) of `unitary` on the
+    unitary block tensored with the trivial label of every GL block.
 
-    unitary: SymbolLabel
-    gl_parts: tuple[Partition, ...] = ()
-
-
-def hc_induce(shape: LeviShape, label: LeviUnipotentLabel) -> RepMultiset:
-    """Harish-Chandra induction from the Levi up to U_n(q).
-
-    Only one-row GL labels (trivial representations of the GL blocks) are
-    supported; the bipartition side is then an iterated Pieri induction.
-    Rank-zero GL blocks are the identity and are skipped.
+    The bipartition side is an iterated Pieri induction, one GL block at a
+    time.  Rank-zero GL blocks are the identity and are skipped.
     """
-    if label.unitary.rank != shape.unitary_rank:
-        raise ValueError(
-            f"unitary label rank {label.unitary.rank} != block rank {shape.unitary_rank}"
-        )
-    if len(label.gl_parts) != len(shape.gl_ranks):
-        raise ValueError("one GL label required per GL block")
-    for a, part in zip(shape.gl_ranks, label.gl_parts):
-        if part.size != a:
-            raise ValueError(f"GL label {tuple(part)} is not a partition of block rank {a}")
-        if a > 0 and part != Partition((a,)):
-            raise ValueError(
-                f"unsupported GL label {tuple(part)}: only one-row labels are implemented"
-            )
-    t = label.unitary.t
-    current: dict[Bipartition, int] = {label.unitary.bipartition: 1}
+    if unitary.rank != shape.unitary_rank:
+        raise ValueError(f"unitary label rank {unitary.rank} != block rank {shape.unitary_rank}")
+    current: Counter[Bipartition] = Counter({unitary.bipartition: 1})
     for a in shape.gl_ranks:
         if a == 0:
             continue
-        nxt: dict[Bipartition, int] = {}
+        nxt: Counter[Bipartition] = Counter()
         for bip, mult in current.items():
-            for out in pieri_induce(bip, a):
-                nxt[out] = nxt.get(out, 0) + mult
+            # pieri_induce is multiplicity-free, so each output adds mult
+            nxt.update(dict.fromkeys(pieri_induce(bip, a), mult))
         current = nxt
-    return RepMultiset({SymbolLabel(t, bip.first, bip.second): m for bip, m in current.items()})
+    return RepMultiset({SymbolLabel(unitary.t, bip.first, bip.second): m for bip, m in current.items()})
 
 
 # -- Frobenius reciprocity oracle ------------------------------------------

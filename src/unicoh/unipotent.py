@@ -91,14 +91,6 @@ def degree_u(lam: Partition) -> IntPolynomial:
     return _hook_degree(lam, -1)
 
 
-def degree_gl_at(lam: Partition, q0: int) -> int:
-    return degree_gl(lam)(q0)
-
-
-def degree_u_at(lam: Partition, q0: int) -> int:
-    return degree_u(lam)(q0)
-
-
 @dataclass(frozen=True, order=True)
 class SymbolLabel:
     """Cuspidal-support label (t, alpha, beta) of a unipotent representation of U_n(q)."""

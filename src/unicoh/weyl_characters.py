@@ -169,12 +169,8 @@ class SignedPermutationGroup:
 
         return tuple(apply(f, apply(g, j)) for j in range(1, len(f) + 1))
 
-    def class_sizes(self) -> dict[Bipartition, int]:
-        sizes: dict[Bipartition, int] = {}
-        for element in self.elements:
-            label = signed_cycle_type(element)
-            sizes[label] = sizes.get(label, 0) + 1
-        return sizes
+    def class_sizes(self) -> Counter[Bipartition]:
+        return Counter(signed_cycle_type(element) for element in self.elements)
 
 
 # -- character tables ----------------------------------------------------

@@ -15,7 +15,6 @@ from unicoh import (
     degree_u,
     eo_stratum_cohomology,
     from_symbol,
-    spectral_first_page,
     stratum_cohomology,
     stratum_term,
     tate_twist,
@@ -178,35 +177,39 @@ class TestEOStratum:
 
 
 class TestSpectralPage:
+    """The first page read column by column through `eo_stratum_cohomology`:
+    a cell is one (column theta', degree) pair of a stratum's table."""
+
+    @staticmethod
+    def columns(theta: int) -> list[CohomologyTable]:
+        page = SpectralPage(theta)
+        return [eo_stratum_cohomology(theta, tp, page) for tp in range(theta + 1)]
+
     def test_theta_zero(self):
-        page = spectral_first_page(0)
-        assert len(page.cells) == 1
-        cell = page.cell(0, 0)
-        assert cell is not None and len(cell.parts) == 1
+        (column,) = self.columns(0)
+        assert column.degrees() == [0]
+        assert len(column.at(0)) == 1
 
     def test_theta_one_shape(self):
-        page = spectral_first_page(1)
-        assert page.cell(0, 0) is not None
-        assert page.cell(1, 1) is not None
-        assert page.cell(1, 2) is not None
-        assert page.cell(0, 1) is None
+        first, second = self.columns(1)
+        assert first.degrees() == [0]
+        assert second.degrees() == [1, 2]
 
     def test_triangular_cell_count(self):
         for theta in range(5):
-            page = spectral_first_page(theta)
-            assert len(page.cells) == sum(tp + 1 for tp in range(theta + 1))
+            cells = sum(len(table.degrees()) for table in self.columns(theta))
+            assert cells == sum(tp + 1 for tp in range(theta + 1))
 
     def test_cells_match_stratum_terms(self):
         theta = 2
-        page = spectral_first_page(theta)
-        for cell in page.cells:
-            i = cell.degree - cell.column
-            expected_exponents = (
-                (2 * i,) if cell.degree == 2 * cell.column else (2 * i, 2 * i + 1)
-            )
-            assert tuple(e for e, _ in cell.parts) == expected_exponents
-            for exponent, reps in cell.parts:
-                assert reps == stratum_term(theta, cell.column, exponent)
+        for column, table in enumerate(self.columns(theta)):
+            for degree in table.degrees():
+                i = degree - column
+                expected_exponents = (2 * i,) if degree == 2 * column else (2 * i, 2 * i + 1)
+                entries = table.at(degree)
+                assert tuple(e.frobenius_exponent for e in entries) == expected_exponents
+                for e in entries:
+                    assert e.constituents == stratum_term(theta, column, e.frobenius_exponent)
 
 
 class TestFirstPageOncePerCall:
@@ -333,7 +336,9 @@ class TestFirstPageOncePerCall:
             assert eo_stratum_cohomology(theta, theta_prime, page) == eo_stratum_cohomology(
                 theta, theta_prime
             )
-        assert page.cells == spectral_first_page(theta).cells
+        for theta_prime in range(theta + 1):
+            for a in range(2 * theta_prime + 1):
+                assert page.term(theta_prime, a) == stratum_term(theta, theta_prime, a)
 
 
 class TestStratumCohomology:

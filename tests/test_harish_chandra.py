@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from unicoh import (
     Bipartition,
     LeviShape,
-    LeviUnipotentLabel,
     Partition,
     RankCapError,
     RepMultiset,
@@ -242,45 +241,44 @@ class TestRepMultiset:
         assert RepMultiset([a]).is_subset(RepMultiset([a, b]))
         assert not RepMultiset([a, a]).is_subset(RepMultiset([a, b]))
 
-    def test_json_round_trip(self):
-        ms = RepMultiset([symbol(1, (2,), ()), symbol(1, (1, 1), ())])
-        assert RepMultiset.from_json(ms.to_json()) == ms
+    def test_to_json_shape(self):
+        a, b = symbol(1, (2,), ()), symbol(1, (1, 1), ())
+        assert RepMultiset([b, a, a]).to_json() == [
+            {"label": a.to_json(), "multiplicity": 2},
+            {"label": b.to_json(), "multiplicity": 1},
+        ]
 
 
 class TestHCInduce:
     def test_rank_one_pieri(self):
         # U_1 x GL_1 inside U_3: trivial and Steinberg constituents
         shape = LeviShape(unitary_rank=1, gl_ranks=(1,))
-        label = LeviUnipotentLabel(symbol(1, (), ()), (Partition((1,)),))
-        result = hc_induce(shape, label)
+        result = hc_induce(shape, symbol(1, (), ()))
         assert result == RepMultiset([symbol(1, (1,), ()), symbol(1, (), (1,))])
 
     def test_zero_blocks_identity(self):
         sym = symbol(1, (2, 1), (1,))
         shape = LeviShape(unitary_rank=sym.rank)
-        assert hc_induce(shape, LeviUnipotentLabel(sym)) == RepMultiset([sym])
+        assert hc_induce(shape, sym) == RepMultiset([sym])
 
     def test_rank_zero_gl_block_skipped(self):
         sym = symbol(2, (1,), ())
         shape = LeviShape(unitary_rank=sym.rank, gl_ranks=(0,))
-        label = LeviUnipotentLabel(sym, (Partition(()),))
-        assert hc_induce(shape, label) == RepMultiset([sym])
-
-    def test_rejects_non_one_row_gl_label(self):
-        shape = LeviShape(unitary_rank=1, gl_ranks=(2,))
-        label = LeviUnipotentLabel(symbol(1, (), ()), (Partition((1, 1)),))
-        with pytest.raises(ValueError):
-            hc_induce(shape, label)
+        assert hc_induce(shape, sym) == RepMultiset([sym])
 
     def test_rejects_mismatched_ranks(self):
         shape = LeviShape(unitary_rank=3, gl_ranks=())
         with pytest.raises(ValueError):
-            hc_induce(shape, LeviUnipotentLabel(symbol(1, (), ())))
+            hc_induce(shape, symbol(1, (), ()))
+
+    @pytest.mark.parametrize("unitary_rank, gl_ranks", [(1, (-1,)), (1, (2, -1)), (-1, ())])
+    def test_negative_rank_is_rejected(self, unitary_rank, gl_ranks):
+        with pytest.raises(ValueError, match="ranks must be nonnegative"):
+            LeviShape(unitary_rank=unitary_rank, gl_ranks=gl_ranks)
 
     def test_rank_bookkeeping(self):
         shape = LeviShape(unitary_rank=3, gl_ranks=(2, 1))
-        label = LeviUnipotentLabel(symbol(2, (), ()), (Partition((2,)), Partition((1,))))
-        result = hc_induce(shape, label)
+        result = hc_induce(shape, symbol(2, (), ()))
         assert len(result) > 0
         for out in result:
             assert out.rank == shape.n == 9
@@ -290,7 +288,6 @@ class TestHCInduce:
         # two rank-1 blocks over the empty core: the two-dimensional label
         # appears twice, matching the order 8 of the target group
         shape = LeviShape(unitary_rank=0, gl_ranks=(1, 1))
-        label = LeviUnipotentLabel(symbol(0, (), ()), (Partition((1,)), Partition((1,))))
-        result = hc_induce(shape, label)
+        result = hc_induce(shape, symbol(0, (), ()))
         assert result.multiplicity(symbol(0, (1,), (1,))) == 2
         assert len(result) == 6

@@ -7,11 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-from unicoh import RepMultiset, closed_stratum_cohomology
+import pytest
+
+from unicoh import RepMultiset, VerificationError, closed_stratum_cohomology
+from unicoh import deligne_lusztig as dl
 from unicoh.deligne_lusztig import CohomologyEntry, CohomologyTable
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
@@ -35,8 +39,25 @@ def load_script(name: str):
 def test_spectral_page_script():
     proc = run_script("spectral_page.py", "--theta", "3", "--dims")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("first page, theta = 3")
-    assert "col 3 | (-q)^6: [7]" in proc.stdout
+    assert proc.stdout == (GOLDEN / "spectral_page_theta3_dims.txt").read_text()
+
+
+def test_spectral_page_faulty_term_fails_before_any_row(monkeypatch, capsys):
+    # the bottom cell (column 0, degree 0) is printed last; a fault there must
+    # stop the script before it prints anything
+    script = load_script("spectral_page.py")
+    real = dl.stratum_term
+
+    def faulty(theta, theta_prime, a):
+        if (theta_prime, a) == (0, 0):
+            raise VerificationError("injected")
+        return real(theta, theta_prime, a)
+
+    monkeypatch.setattr(dl, "stratum_term", faulty)
+    monkeypatch.setattr(sys, "argv", ["spectral_page.py", "--theta", "3"])
+    with pytest.raises(VerificationError, match="injected"):
+        script.main()
+    assert capsys.readouterr().out == ""
 
 
 def test_stratum_tables_script_exports_closed_formula(tmp_path):

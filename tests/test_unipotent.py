@@ -13,9 +13,7 @@ from unicoh import (
     Partition,
     cuspidal_partition,
     degree_gl,
-    degree_gl_at,
     degree_u,
-    degree_u_at,
     from_symbol,
     hc_series,
     partitions_of,
@@ -94,12 +92,12 @@ class TestDegrees:
         # the q -> 1 limit of the GL degree is the number of standard tableaux
         for n in range(1, 8):
             for lam in partitions_of(n):
-                assert degree_gl_at(lam, 1) == syt_count(lam)
+                assert degree_gl(lam)(1) == syt_count(lam)
 
     def test_degree_sums_positive_at_small_q(self):
         for n in range(1, 9):
             for q0 in (2, 3):
-                total = sum(degree_u_at(lam, q0) for lam in partitions_of(n))
+                total = sum(degree_u(lam)(q0) for lam in partitions_of(n))
                 assert total > 0
 
     def test_gl_flag_module_decomposition(self):
@@ -110,7 +108,7 @@ class TestDegrees:
             flags = 1
             for i in range(1, n + 1):
                 flags = flags * (q0**i - 1) // (q0 - 1)
-            total = sum(syt_count(lam) * degree_gl_at(lam, q0) for lam in partitions_of(n))
+            total = sum(syt_count(lam) * degree_gl(lam)(q0) for lam in partitions_of(n))
             assert total == flags
 
     @pytest.mark.parametrize("wrong_hooks, message", [
