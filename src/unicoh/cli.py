@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -44,6 +45,9 @@ from .unipotent import (
 
 # default soft caps, each raised with --max-<name>
 CAPS = {"n": 8, "a": 5, "theta": 8, "k": 8}
+
+# 128 + SIGPIPE: stdout was closed before the output was written
+BROKEN_PIPE_STATUS = 141
 
 
 class CliError(Exception):
@@ -535,7 +539,17 @@ def main(argv: list[str] | None = None) -> int:
         if not args.quiet:
             print(f"wrote {args.out}", file=sys.stderr)
     else:
-        print(rendered)
+        try:
+            print(rendered)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe early (`unicoh ... | head`).  Point
+            # stdout at devnull so the flush at interpreter exit cannot raise
+            # again, and exit as a shell reports a process killed by SIGPIPE.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return BROKEN_PIPE_STATUS
     return doc.status
 
 

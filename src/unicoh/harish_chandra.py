@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
@@ -27,63 +27,74 @@ ORACLE_RANK_CAP = 6
 # -- horizontal strips ---------------------------------------------------
 
 
-def add_horizontal_strips(lam: Partition, boxes: int) -> Iterator[Partition]:
+@cache
+def add_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...]:
     """All partitions obtained from lam by adding `boxes` boxes, no two in a column.
 
     Equivalently all mu >= lam interlacing lam: mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...
-    Yielded in descending lexicographic order.  The rows below row i can gain
-    at most lam_i boxes in total, so row i takes at least `remaining` (the
-    boxes still to place); with that bound every branch of the recursion
-    yields exactly one partition.
+    In descending lexicographic order, which is `label_sort_key` order.  The
+    rows below row i can gain at most lam_i boxes in total, so row i takes
+    at least `remaining` (the boxes still to place); with that bound every
+    branch of the recursion yields exactly one partition.
+
+    Memoised per (lam, boxes), so lam must be hashable (a Partition or a
+    plain tuple of parts, not a list).
     """
     lam = Partition(lam)
     if boxes < 0:
         raise ValueError("cannot add a negative number of boxes")
 
     padded = tuple(lam) + (0,)
+    out: list[Partition] = []
 
-    def build(i: int, remaining: int, upper: int, prefix: list[int]) -> Iterator[Partition]:
+    def build(i: int, remaining: int, upper: int, prefix: list[int]) -> None:
         if i == len(padded):
-            yield Partition(prefix)
+            out.append(Partition(prefix))
             return
         low = padded[i]
         high = min(upper, low + remaining)
         for val in range(high, max(low, remaining) - 1, -1):
             prefix.append(val)
-            yield from build(i + 1, remaining - (val - low), low, prefix)
+            build(i + 1, remaining - (val - low), low, prefix)
             prefix.pop()
 
-    yield from build(0, boxes, (lam[0] if lam else 0) + boxes, [])
+    build(0, boxes, (lam[0] if lam else 0) + boxes, [])
+    return tuple(out)
 
 
-def remove_horizontal_strips(lam: Partition, boxes: int) -> Iterator[Partition]:
+@cache
+def remove_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...]:
     """All partitions obtained from lam by deleting `boxes` boxes, no two in a column.
 
-    Yielded in descending lexicographic order.  The rows below row i can lose
-    at most lam_{i+1} boxes in total, so row i keeps at most
-    lam_i + lam_{i+1} - `remaining`; with that bound every branch of the
-    recursion yields exactly one partition.
+    In descending lexicographic order, which is `label_sort_key` order.  The
+    rows below row i can lose at most lam_{i+1} boxes in total, so row i
+    keeps at most lam_i + lam_{i+1} - `remaining`; with that bound every
+    branch of the recursion yields exactly one partition.
+
+    Memoised per (lam, boxes), like add_horizontal_strips.
     """
     lam = Partition(lam)
     if boxes < 0:
         raise ValueError("cannot delete a negative number of boxes")
     if boxes > lam.size:
-        return
+        return ()
 
     padded = tuple(lam) + (0,)
+    out: list[Partition] = []
 
-    def build(i: int, remaining: int, prefix: list[int]) -> Iterator[Partition]:
+    def build(i: int, remaining: int, prefix: list[int]) -> None:
         if i == len(lam):
-            yield Partition(prefix)
+            out.append(Partition(prefix))
             return
         low = max(padded[i + 1], padded[i] - remaining)
         high = min(padded[i], padded[i] + padded[i + 1] - remaining)
         for val in range(high, low - 1, -1):
             prefix.append(val)
-            yield from build(i + 1, remaining - (padded[i] - val), prefix)
+            build(i + 1, remaining - (padded[i] - val), prefix)
             prefix.pop()
 
-    yield from build(0, boxes, [])
+    build(0, boxes, [])
+    return tuple(out)
 
 
 # -- Pieri rule ----------------------------------------------------------
@@ -91,16 +102,19 @@ def remove_horizontal_strips(lam: Partition, boxes: int) -> Iterator[Partition]:
 
 def _pair_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipartition, ...]:
     """Every (first, second) with d boxes moved on the first component and
-    boxes - d on the second, each component's strips enumerated once per d."""
-    firsts = [tuple(strips(start.first, d)) for d in range(boxes + 1)]
-    seconds = [tuple(strips(start.second, d)) for d in range(boxes + 1)]
-    results = [
-        Bipartition(first, second)
-        for d in range(boxes + 1)
-        for first in firsts[d]
-        for second in seconds[boxes - d]
-    ]
-    return tuple(sorted(results, key=weyl_characters.label_sort_key))
+    boxes - d on the second, in `label_sort_key` order.
+
+    Each strip tuple is already in that order, and first components for
+    different d have different sizes, so they never tie: sorting the
+    (first, d) pairs once and emitting each first's seconds as they come
+    gives the order of sorting every pair.
+    """
+    firsts = sorted(
+        ((first, d) for d in range(boxes + 1) for first in strips(start.first, d)),
+        key=lambda pair: weyl_characters.label_sort_key(pair[0]),
+    )
+    seconds = [strips(start.second, boxes - d) for d in range(boxes + 1)]
+    return tuple(Bipartition(first, second) for first, d in firsts for second in seconds[d])
 
 
 def pieri_induce(start: Bipartition, boxes: int) -> tuple[Bipartition, ...]:
@@ -132,16 +146,12 @@ class RepMultiset:
     __slots__ = ("counts",)
 
     def __init__(self, items: Mapping[SymbolLabel, int] | Iterable[SymbolLabel] = ()):
-        counts: dict[SymbolLabel, int] = {}
         if isinstance(items, Mapping):
-            pairs = items.items()
+            counts = {label: mult for label, mult in items.items() if mult}
         else:
-            pairs = ((label, 1) for label in items)
-        for label, mult in pairs:
-            if mult < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            if mult:
-                counts[label] = counts.get(label, 0) + mult
+            counts = dict(Counter(items))
+        if any(mult < 0 for mult in counts.values()):
+            raise ValueError("multiplicities must be nonnegative")
         supports = {(label.t, label.rank) for label in counts}
         if len(supports) > 1:
             raise ValueError(f"mixed cuspidal supports in one multiset: {supports}")

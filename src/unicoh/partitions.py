@@ -9,6 +9,7 @@ share across threads.
 from __future__ import annotations
 
 from functools import cache
+from operator import ge
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import VerificationError
@@ -18,14 +19,12 @@ class Partition(tuple):
     """A weakly decreasing tuple of positive integers; () is the empty partition."""
 
     def __new__(cls, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(int, parts))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        for i, p in enumerate(parts):
-            if p <= 0:
-                raise ValueError(f"parts must be positive, got {p} in {parts}")
-            if i and parts[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        # weakly decreasing with a positive last part means every part is positive
+        if parts and (parts[-1] < 0 or not all(map(ge, parts, parts[1:]))):
+            _reject(parts)
         return super().__new__(cls, parts)
 
     @property
@@ -48,6 +47,16 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
+
+
+def _reject(parts: tuple[int, ...]) -> None:
+    """Raise the error for the first part, left to right, that breaks the
+    rules; called only once the fast check in Partition found one."""
+    for i, p in enumerate(parts):
+        if p <= 0:
+            raise ValueError(f"parts must be positive, got {p} in {parts}")
+        if i and parts[i - 1] < p:
+            raise ValueError(f"parts must be weakly decreasing, got {parts}")
 
 
 EMPTY = Partition()

@@ -14,7 +14,7 @@ coefficient list; any nonzero remainder is a bug and raises.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import ExactDivisionError
@@ -91,22 +91,27 @@ def degree_u(lam: Partition) -> IntPolynomial:
     return _hook_degree(lam, -1)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SymbolLabel:
     """Cuspidal-support label (t, alpha, beta) of a unipotent representation of U_n(q)."""
 
     t: int
     alpha: Partition
     beta: Partition
+    # Rank n = 2(|alpha| + |beta|) + t(t+1)/2 of the ambient unitary group.
+    rank: int = field(init=False, repr=False, compare=False)
+    # hash((t, alpha, beta)), the hash the dataclass would compute on every call.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.t < 0:
+        t = self.t
+        if t < 0:
             raise ValueError("cuspidal support index must be nonnegative")
+        object.__setattr__(self, "rank", 2 * (sum(self.alpha) + sum(self.beta)) + t * (t + 1) // 2)
+        object.__setattr__(self, "_hash", hash((t, self.alpha, self.beta)))
 
-    @property
-    def rank(self) -> int:
-        """Rank n = 2(|alpha| + |beta|) + t(t+1)/2 of the ambient unitary group."""
-        return 2 * (self.alpha.size + self.beta.size) + self.t * (self.t + 1) // 2
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def bipartition(self) -> Bipartition:

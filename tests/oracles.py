@@ -4,8 +4,9 @@ Most of what is here recomputes quantities from first principles (geometric
 strip walking, tableau enumeration, permutation signs) without touching
 the library's beta-set or recursion code paths, so agreement is meaningful.
 The rest are slower library algorithms kept after a faster one replaced
-them: the dense hook formula, domino peeling for 2-cores, and the
-horizontal-strip recursions without pruning.
+them: the dense hook formula, domino peeling for 2-cores, the
+horizontal-strip recursions without pruning, and the per-part check of a
+partition's parts.
 """
 
 from functools import cache
@@ -14,6 +15,21 @@ from itertools import permutations
 from unicoh import Bipartition, IntPolynomial, Partition, border_strips
 from unicoh.weyl_characters import label_sort_key
 from unicoh.polynomial import prod, q_minus_one, q_minus_sign
+
+
+def partition_parts_by_loop(parts) -> tuple[int, ...]:
+    """The parts the Partition constructor keeps, checked one part at a time:
+    trailing zeros trimmed, then every part positive and no part above the
+    one before it; ValueError names the first part that breaks a rule."""
+    parts = tuple(int(p) for p in parts)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    for i, p in enumerate(parts):
+        if p <= 0:
+            raise ValueError(f"parts must be positive, got {p} in {parts}")
+        if i and parts[i - 1] < p:
+            raise ValueError(f"parts must be weakly decreasing, got {parts}")
+    return parts
 
 
 def subpartitions_of_size(lam: Partition, size: int):

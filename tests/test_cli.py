@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -288,8 +291,33 @@ class TestMutationDetection:
         assert status == 1
 
 
+class TestPieriFaultReachesEngine:
+    def test_pieri_fault_fails_stratum_verification(self, monkeypatch):
+        # hc_induce must go through the module-level pieri_induce, so the
+        # fault reaches the stratum terms and not only the reciprocity check
+        original = hc.pieri_induce
+
+        def broken(start, boxes):
+            outs = original(start, boxes)
+            return outs[:-1] if len(outs) > 1 else outs
+
+        assert dl.verify_stratum(3).ok
+        monkeypatch.setattr(hc, "pieri_induce", broken)
+        assert dl.verify_stratum(3).ok is False
+
+
+# the memoised functions themselves, taken before any test patches a module
+MEMOISED = (
+    wc.chi_sym,
+    wc.chi_typeb,
+    partitions.border_strips,
+    hc.add_horizontal_strips,
+    hc.remove_horizontal_strips,
+)
+
+
 def _clear_character_caches():
-    for fn in (wc.chi_sym, wc.chi_typeb, partitions.border_strips):
+    for fn in MEMOISED:
         fn.cache_clear()
 
 
@@ -314,6 +342,27 @@ class TestStripCacheFault:
         monkeypatch.setattr(wc, "border_strips", broken)
         character_caches()
         assert wc.character_table_typeb(3).values != clean.values
+        status, _, _ = run(capsys, "verify", "-q")
+        assert status == 1
+
+
+class TestHorizontalStripCacheFault:
+    def test_strip_fault_behind_warm_cache_flips_verify(self, capsys, monkeypatch, character_caches):
+        assert dl.verify_stratum(3).ok
+        assert hc.add_horizontal_strips.cache_info().currsize > 0
+        original = hc.add_horizontal_strips
+
+        def broken(lam, boxes):
+            strips = original(lam, boxes)
+            return strips[:-1] if lam == Partition((1,)) and boxes == 1 else strips
+
+        monkeypatch.setattr(hc, "add_horizontal_strips", broken)
+        character_caches()
+        assert hc.pieri_induce(Bipartition.of((1,), ()), 1) == (
+            Bipartition.of((2,), ()),
+            Bipartition.of((1,), (1,)),
+        )
+        assert dl.verify_stratum(3).ok is False
         status, _, _ = run(capsys, "verify", "-q")
         assert status == 1
 
@@ -483,3 +532,22 @@ class TestBenchGolden:
         out = capsys.readouterr().out
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == golden["char-tables"]
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_without_traceback(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        # about 280 kB of JSON, more than a pipe holds, so the write is still
+        # blocked when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "unicoh.cli", "stratum", "--theta", "14", "--max-theta", "14",
+             "-q", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == cli.BROKEN_PIPE_STATUS
+        assert err == b""

@@ -17,6 +17,7 @@ from unicoh import (
 )
 from unicoh.harish_chandra import add_horizontal_strips, remove_horizontal_strips
 from unicoh.unipotent import symbol
+from unicoh.weyl_characters import label_sort_key
 
 from oracles import pieri_by_nested_strips, unpruned_add_strips, unpruned_remove_strips
 from strategies import bipartitions, partitions, partitions_up_to
@@ -83,6 +84,40 @@ class TestStripsMatchUnprunedOracle:
                 for boxes in range(n + 1):
                     expected = pieri_by_nested_strips(start, boxes, unpruned_remove_strips)
                     assert pieri_restrict(start, boxes) == expected
+
+
+class TestStripCache:
+    """What the memoised strips and the sort-once Pieri pairing rely on."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_strips_come_in_sort_key_order(self, n):
+        # _pair_strips emits each first component's seconds unsorted
+        for lam in partitions_of(n):
+            for d in range(13 - n):
+                added = add_horizontal_strips(lam, d)
+                assert list(added) == sorted(added, key=label_sort_key), (lam, d)
+            for d in range(n + 1):
+                removed = remove_horizontal_strips(lam, d)
+                assert list(removed) == sorted(removed, key=label_sort_key), (lam, d)
+
+    @pytest.mark.parametrize("strips", [add_horizontal_strips, remove_horizontal_strips])
+    def test_plain_tuple_and_partition_keys_agree(self, strips):
+        # equal keys share one cache entry, so fill it from each side in turn
+        strips.cache_clear()
+        from_tuple = strips((4, 2, 2, 1), 3)
+        strips.cache_clear()
+        from_partition = strips(Partition((4, 2, 2, 1)), 3)
+        assert from_tuple == from_partition
+        assert isinstance(from_tuple, tuple)
+        assert all(type(mu) is Partition for mu in from_tuple)
+
+    def test_negative_boxes_raise_every_time(self):
+        # exceptions are not cached, so the check runs on each call
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative number of boxes"):
+                add_horizontal_strips(Partition((2, 1)), -1)
+            with pytest.raises(ValueError, match="negative number of boxes"):
+                remove_horizontal_strips(Partition((2, 1)), -1)
 
 
 class TestPieri:

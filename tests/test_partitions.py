@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from unicoh import (
 )
 from unicoh.partitions import partition_from_beta_values, two_core_partition
 
-from oracles import domino_peeling_core, geometric_border_strips
+from oracles import domino_peeling_core, geometric_border_strips, partition_parts_by_loop
 from strategies import partitions, partitions_up_to
 
 
@@ -52,6 +53,69 @@ class TestPartitionType:
     @given(partitions())
     def test_transpose_involutive(self, lam):
         assert lam.transpose().transpose() == lam
+
+
+def _outcome(build, parts):
+    """("ok", the parts build(parts) keeps) or ("error", its ValueError message)."""
+    try:
+        return ("ok", tuple(build(parts)))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def _nudged(lam: Partition, zeros: int, index: int, delta: int) -> tuple[int, ...]:
+    """lam padded with zeros, one part moved by delta: near-valid inputs."""
+    parts = list(lam) + [0] * zeros
+    if parts:
+        parts[index % len(parts)] += delta
+    return tuple(parts)
+
+
+INT_TUPLES = st.one_of(
+    st.lists(st.integers(min_value=-3, max_value=9), max_size=10).map(tuple),
+    st.lists(st.integers(min_value=-2, max_value=9), max_size=8).map(lambda xs: tuple(sorted(xs))),
+    st.builds(
+        _nudged,
+        partitions(),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=-2, max_value=2),
+    ),
+)
+
+
+class TestPartitionValidationOracle:
+    """The constructor accepts, trims and rejects exactly what the per-part
+    loop does, with the same ValueError message."""
+
+    def test_exhaustive_short_tuples(self):
+        for length in range(6):
+            for parts in itertools.product(range(-2, 4), repeat=length):
+                assert _outcome(Partition, parts) == _outcome(partition_parts_by_loop, parts), parts
+
+    @given(INT_TUPLES)
+    @settings(max_examples=300)
+    def test_int_tuples(self, parts):
+        assert _outcome(Partition, parts) == _outcome(partition_parts_by_loop, parts)
+
+    def test_result_is_a_partition(self):
+        lam = Partition([3, 3, 1, 0, 0])
+        assert type(lam) is Partition
+        assert tuple(lam) == (3, 3, 1)
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((3, -1), "parts must be positive, got -1 in (3, -1)"),
+            ((3, 0, 2), "parts must be positive, got 0 in (3, 0, 2)"),
+            ((1, 2, 0), "parts must be weakly decreasing, got (1, 2)"),
+            ((-1, -2), "parts must be positive, got -1 in (-1, -2)"),
+        ],
+    )
+    def test_messages(self, parts, message):
+        with pytest.raises(ValueError) as info:
+            Partition(parts)
+        assert str(info.value) == message
 
 
 class TestBetaSet:

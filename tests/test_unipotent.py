@@ -202,6 +202,39 @@ class TestSymbolTranslation:
             symbol(-1, (), ())
 
 
+class TestStoredRankAndHash:
+    """SymbolLabel keeps its rank and hash from construction; nothing else
+    about the label may change."""
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_stored_values_match_formulas(self, n):
+        for lam in partitions_of(n):
+            sym = to_symbol(lam)
+            t, alpha, beta = sym.t, sym.alpha, sym.beta
+            assert sym.rank == 2 * (alpha.size + beta.size) + t * (t + 1) // 2 == n
+            assert hash(sym) == hash((t, alpha, beta))
+            rebuilt = SymbolLabel(t, Partition(tuple(alpha)), Partition(tuple(beta)))
+            assert rebuilt == sym and hash(rebuilt) == hash(sym)
+
+    def test_repr(self):
+        assert repr(symbol(1, (2, 1), ())) == "SymbolLabel(t=1, alpha=Partition((2, 1)), beta=Partition(()))"
+
+    def test_to_json(self):
+        assert symbol(1, (2, 1), ()).to_json() == {"t": 1, "alpha": [2, 1], "beta": []}
+        assert list(symbol(0, (), (1,)).to_json()) == ["t", "alpha", "beta"]
+
+    def test_order_is_t_then_alpha_then_beta(self):
+        labels = [to_symbol(lam) for n in range(10) for lam in partitions_of(n)]
+        expected = sorted(labels, key=lambda l: (l.t, tuple(l.alpha), tuple(l.beta)))
+        assert sorted(reversed(labels)) == expected
+        a, b = symbol(1, (2,), ()), symbol(1, (1, 1), (3,))
+        assert b < a and a > b and a <= a and not a < a
+
+    def test_rank_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            SymbolLabel(0, Partition(), Partition(), 0)
+
+
 class TestSeries:
     def test_worked_example_principal(self):
         series = hc_series(Partition((3, 3, 2, 2, 1)))
