@@ -11,7 +11,7 @@ can be read off directly.  Example:
 import argparse
 import sys
 
-from unicoh import SpectralPage, eo_stratum_cohomology, from_symbol
+from unicoh import eo_stratum_cohomology, from_symbol
 
 
 def main() -> int:
@@ -19,12 +19,14 @@ def main() -> int:
     parser.add_argument("--theta", type=int, default=2)
     parser.add_argument("--dims", action="store_true", help="also print dimension polynomials")
     args = parser.parse_args()
+    theta = args.theta
+    if theta < 0:
+        parser.error("--theta must be nonnegative")
 
-    page = SpectralPage(args.theta)
     # every column is built before the first line, so a faulty stratum term raises here
-    columns = [eo_stratum_cohomology(page.theta, tp, page) for tp in range(page.theta + 1)]
-    print(f"first page, theta = {page.theta} (columns = strata, rows = total degree)")
-    for degree in range(2 * page.theta, -1, -1):
+    columns = [eo_stratum_cohomology(theta, tp) for tp in range(theta + 1)]
+    print(f"first page, theta = {theta} (columns = strata, rows = total degree)")
+    for degree in range(2 * theta, -1, -1):
         chunks = []
         for column, table in enumerate(columns):
             parts = []
@@ -32,7 +34,7 @@ def main() -> int:
                 labels = " + ".join(str(list(from_symbol(l))) for l in entry.constituents)
                 piece = f"(-q)^{entry.frobenius_exponent}: {labels}"
                 if args.dims:
-                    piece += f" [dim {page.dimension(column, entry.frobenius_exponent)}]"
+                    piece += f" [dim {entry.constituents.dimension_poly()}]"
                 parts.append(piece)
             if parts:
                 chunks.append(f"col {column} | " + " ; ".join(parts))

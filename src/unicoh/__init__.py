@@ -45,7 +45,6 @@ from .unipotent import (
     to_symbol,
 )
 from .harish_chandra import (
-    LeviShape,
     RepMultiset,
     hc_induce,
     induction_multiplicity_oracle,
@@ -55,7 +54,6 @@ from .harish_chandra import (
 from .deligne_lusztig import (
     CohomologyEntry,
     CohomologyTable,
-    SpectralPage,
     StratumVerification,
     closed_stratum_cohomology,
     coxeter_cohomology,

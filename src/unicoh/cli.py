@@ -49,6 +49,9 @@ CAPS = {"n": 8, "a": 5, "theta": 8, "k": 8}
 # 128 + SIGPIPE: stdout was closed before the output was written
 BROKEN_PIPE_STATUS = 141
 
+# largest Weyl-group rank of the character and induction cross-checks in `verify`
+FOUNDATION_RANK = 3
+
 
 class CliError(Exception):
     """Bad arguments (exit status 2)."""
@@ -297,14 +300,14 @@ def cmd_induce(args) -> Document:
         raise CliError(f"malformed GL ranks {args.gl!r}: {exc}") from exc
     if any(r < 0 for r in gl_ranks):
         raise CliError("GL ranks must be nonnegative")
-    shape = hc.LeviShape(unitary_rank=sym.rank, gl_ranks=gl_ranks)
-    result = hc.hc_induce(shape, sym)
+    result = hc.hc_induce(sym, gl_ranks)
+    n = sym.rank + 2 * sum(gl_ranks)
     return Document(
-        text=f"U_{shape.n}(q) constituents: {_fmt_labels(result)}",
+        text=f"U_{n}(q) constituents: {_fmt_labels(result)}",
         payload={
-            "levi": {"unitary_rank": shape.unitary_rank, "gl_ranks": list(gl_ranks)},
+            "levi": {"unitary_rank": sym.rank, "gl_ranks": list(gl_ranks)},
             "label": sym.to_json(),
-            "n": shape.n,
+            "n": n,
             "result": result.to_json(),
         },
         rows=[
@@ -338,25 +341,25 @@ def cmd_stratum(args) -> Document:
     return _cohomology_document(table)
 
 
-def _foundation_checks(max_rank: int = 3) -> list[dl.CheckResult]:
+def _foundation_checks() -> list[dl.CheckResult]:
     """Cross-checks of the character and induction layers at small rank."""
     checks: list[dl.CheckResult] = []
 
-    for n in range(1, max_rank + 2):
+    for n in range(1, FOUNDATION_RANK + 2):
         ok = wc.character_table_sym(n).is_orthogonal(factorial(n))
         checks.append(dl.CheckResult(f"character-orthogonality (S_{n})", ok))
 
-    for a in range(1, max_rank + 1):
+    for a in range(1, FOUNDATION_RANK + 1):
         ok = wc.character_table_typeb(a).is_orthogonal(2**a * factorial(a))
         checks.append(dl.CheckResult(f"character-orthogonality (W_{a})", ok))
 
-    for a in range(max_rank + 1):
+    for a in range(FOUNDATION_RANK + 1):
         brute = wc.SignedPermutationGroup(a).class_sizes()
         bad = any(wc.typeb_class_size(k) != brute.get(k, 0) for k in bipartitions_of(a))
         checks.append(dl.CheckResult(f"class-sizes-vs-brute-force (W_{a})", not bad))
 
     bad_pairs = []
-    for a in range(max_rank + 1):
+    for a in range(FOUNDATION_RANK + 1):
         for r in range(a + 1):
             s = a - r
             for phi in bipartitions_of(r):
@@ -374,7 +377,7 @@ def _foundation_checks(max_rank: int = 3) -> list[dl.CheckResult]:
                         bad_pairs.append(f"r={r},s={s},{phi}->{chi}")
     checks.append(
         dl.CheckResult(
-            f"pieri-vs-reciprocity-oracle (rank<={max_rank})",
+            f"pieri-vs-reciprocity-oracle (rank<={FOUNDATION_RANK})",
             not bad_pairs,
             "; ".join(bad_pairs[:5]),
         )

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import Callable
 
 from .errors import VerificationError
 from . import harish_chandra as hc
-from .harish_chandra import LeviShape, RepMultiset
+from .harish_chandra import RepMultiset
 from .partitions import Partition
 from .polynomial import IntPolynomial, prod, q_minus_sign
 from .unipotent import SymbolLabel, from_symbol, symbol_degree, to_symbol
@@ -109,8 +110,9 @@ class CohomologyTable:
     @classmethod
     def from_json(cls, data: dict) -> "CohomologyTable":
         """Inverse of to_json.  A constituent's `partition` or `degree_poly`,
-        when present, must be the one its symbol determines; otherwise
-        ValueError."""
+        when present, must be the one its symbol determines, its multiplicity
+        must be positive and its symbol listed once per entry, and no
+        (degree, frobenius_exponent) pair may repeat; otherwise ValueError."""
 
         def label(c: dict) -> SymbolLabel:
             sym = SymbolLabel.from_json(c["symbol"])
@@ -120,19 +122,26 @@ class CohomologyTable:
                 raise ValueError(f"degree_poly {c['degree_poly']} does not match symbol {c['symbol']}")
             return sym
 
-        return cls(
-            variety=data["variety"],
-            entries=tuple(
-                CohomologyEntry(
-                    degree=int(e["degree"]),
-                    frobenius_exponent=int(e["frobenius_exponent"]),
-                    constituents=RepMultiset(
-                        {label(c): int(c.get("multiplicity", 1)) for c in e["constituents"]}
-                    ),
-                )
-                for e in data["entries"]
-            ),
+        def constituents(e: dict) -> RepMultiset:
+            counts: dict[SymbolLabel, int] = {}
+            for c in e["constituents"]:
+                sym, mult = label(c), int(c.get("multiplicity", 1))
+                if mult < 1:
+                    raise ValueError(f"multiplicity {mult} of symbol {c['symbol']} is not positive")
+                if sym in counts:
+                    raise ValueError(f"symbol {c['symbol']} listed twice in one entry")
+                counts[sym] = mult
+            return RepMultiset(counts)
+
+        entries = tuple(
+            CohomologyEntry(int(e["degree"]), int(e["frobenius_exponent"]), constituents(e))
+            for e in data["entries"]
         )
+        pairs = Counter((e.degree, e.frobenius_exponent) for e in entries)
+        repeated = sorted(pair for pair, n in pairs.items() if n > 1)
+        if repeated:
+            raise ValueError(f"repeated (degree, frobenius_exponent) entries: {repeated}")
+        return cls(variety=data["variety"], entries=entries)
 
 
 # -- Coxeter varieties ------------------------------------------------------
@@ -189,8 +198,7 @@ def _check_stratum_args(theta: int, theta_prime: int) -> None:
 def _stratum_term_pieri(theta: int, theta_prime: int, a: int) -> RepMultiset:
     """Induce the exponent-a Coxeter label of U_{2theta_prime+1} tensored with the
     trivial GL_{theta-theta_prime}(q^2) label up to U_{2theta+1}(q)."""
-    shape = LeviShape(unitary_rank=2 * theta_prime + 1, gl_ranks=(theta - theta_prime,))
-    return hc.hc_induce(shape, to_symbol(coxeter_hook(theta_prime, a)))
+    return hc.hc_induce(to_symbol(coxeter_hook(theta_prime, a)), (theta - theta_prime,))
 
 
 def _stratum_term_explicit(theta: int, theta_prime: int, a: int) -> RepMultiset:
@@ -245,41 +253,12 @@ def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:
     return via_pieri
 
 
-class SpectralPage:
-    """First page of the stratification spectral sequence for one theta: maps
-    each cell (theta', a) to its stratum term, built on first use by the
-    module-level `stratum_term` (so its guards run) and kept, with its
-    dimension, for the life of the page.  `eo_stratum_cohomology` places the
-    cells of column theta' in their degrees."""
-
-    def __init__(self, theta: int):
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
-        self.theta = theta
-        self._terms: dict[tuple[int, int], RepMultiset] = {}
-        self._dims: dict[tuple[int, int], IntPolynomial] = {}
-
-    def term(self, theta_prime: int, a: int) -> RepMultiset:
-        if (theta_prime, a) not in self._terms:
-            self._terms[theta_prime, a] = stratum_term(self.theta, theta_prime, a)
-        return self._terms[theta_prime, a]
-
-    def dimension(self, theta_prime: int, a: int) -> IntPolynomial:
-        if (theta_prime, a) not in self._dims:
-            self._dims[theta_prime, a] = self.term(theta_prime, a).dimension_poly()
-        return self._dims[theta_prime, a]
-
-
-def eo_stratum_cohomology(
-    theta: int, theta_prime: int, page: SpectralPage | None = None
-) -> CohomologyTable:
+def eo_stratum_cohomology(theta: int, theta_prime: int) -> CohomologyTable:
     """Cohomology of one Ekedahl-Oort stratum, supported in degrees
-    theta_prime..2*theta_prime with two eigenspaces per degree below the top.
-    Terms are read from `page`, a page for the same theta, when one is given."""
+    theta_prime..2*theta_prime with two eigenspaces per degree below the top."""
     _check_stratum_args(theta, theta_prime)
-    page = page or SpectralPage(theta)
     entries = tuple(
-        CohomologyEntry(theta_prime + a // 2, a, page.term(theta_prime, a))
+        CohomologyEntry(theta_prime + a // 2, a, stratum_term(theta, theta_prime, a))
         for a in range(2 * theta_prime + 1)
     )
     return CohomologyTable(f"eo-stratum(theta={theta}, theta'={theta_prime})", entries)
@@ -288,9 +267,11 @@ def eo_stratum_cohomology(
 # -- the closed stratum ------------------------------------------------------
 
 
-def _eigen_chain(page: SpectralPage, a: int) -> list[RepMultiset]:
-    """Terms carrying eigenvalue exponent a, by increasing stratum index."""
-    return [page.term(tp, a) for tp in range((a + 1) // 2, page.theta + 1)]
+def _eigen_chain(theta: int, a: int) -> list[RepMultiset]:
+    """The first-page terms carrying eigenvalue exponent a, by increasing
+    stratum index theta'; the term of stratum theta' sits in degree
+    theta' + a // 2."""
+    return [stratum_term(theta, tp, a) for tp in range((a + 1) // 2, theta + 1)]
 
 
 def _chain_head(theta: int, a: int, chain: list[RepMultiset]) -> RepMultiset:
@@ -322,23 +303,29 @@ def _chain_head(theta: int, a: int, chain: list[RepMultiset]) -> RepMultiset:
     return head
 
 
-def stratum_cohomology(theta: int, page: SpectralPage | None = None) -> CohomologyTable:
+def _table_from_chains(theta: int, chain: Callable[[int], list[RepMultiset]]) -> CohomologyTable:
+    """The closed-stratum table from the eigenvalue chains, `chain(a)` giving
+    the chain of exponent a.  Each chain is asked for when its turn comes, so
+    a caller that builds it there holds one chain at a time."""
+    entries = tuple(
+        CohomologyEntry(degree=a, frobenius_exponent=a, constituents=_chain_head(theta, a, chain(a)))
+        for a in range(2 * theta + 1)
+    )
+    return CohomologyTable(variety=f"closed-stratum(theta={theta})", entries=entries)
+
+
+def stratum_cohomology(theta: int) -> CohomologyTable:
     """Cohomology of the closed stratum, assembled from the first page.
 
     For each exponent a the surviving constituents are those of the leading
     chain term not shared with its successor; they sit in degree a, so
-    Frobenius acts by (-q)**degree throughout.  Terms are read from `page`, a
-    page for the same theta, when one is given; otherwise each exponent chain
-    gets a page of its own, dropped before the next, so the whole page is
+    Frobenius acts by (-q)**degree throughout.  Each exponent chain is built
+    when its turn comes and dropped before the next, so the whole page is
     never held at once.
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    entries = []
-    for a in range(2 * theta + 1):
-        head = _chain_head(theta, a, _eigen_chain(page or SpectralPage(theta), a))
-        entries.append(CohomologyEntry(degree=a, frobenius_exponent=a, constituents=head))
-    return CohomologyTable(variety=f"closed-stratum(theta={theta})", entries=tuple(entries))
+    return _table_from_chains(theta, lambda a: _eigen_chain(theta, a))
 
 
 def closed_stratum_cohomology(theta: int) -> CohomologyTable:
@@ -408,21 +395,28 @@ def verify_stratum(theta: int) -> StratumVerification:
     equals the degree, (4) Euler characteristics add up over the strata,
     (5) per-exponent alternating dimension sums telescope to the answer.
     All dimension identities are exact polynomial identities in q.  Each call
-    builds one first page (one `stratum_term` call per cell, each cell's
-    dimension at most once) and assembles the table from it once; all checks
-    read these, and nothing is kept between calls.  Any exception while
-    building the table or the closed formula fails all five checks with its
-    message as details; one raised inside a check fails only that check.
+    builds the first page once, as its eigenvalue chains (one `stratum_term`
+    call per cell), and assembles the table from them once; all checks read
+    these, the two dimension checks sum each cell's dimension at most once,
+    and nothing is kept between calls.  Any exception while building the
+    table or the closed formula fails all five checks with its message as
+    details; one raised inside a check fails only that check.
     """
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
     checks: list[CheckResult] = []
     prefix = f"(theta={theta})"
-    page = SpectralPage(theta)
     build_failure: list[str] = []
     try:
         closed = closed_stratum_cohomology(theta)
-        table = stratum_cohomology(theta, page)
+        chains = [_eigen_chain(theta, a) for a in range(2 * theta + 1)]
+        table = _table_from_chains(theta, chains.__getitem__)
     except Exception as exc:
         build_failure = [str(exc)]
+
+    @cache
+    def chain_dims(a: int) -> list[IntPolynomial]:
+        return [term.dimension_poly() for term in chains[a]]
 
     def run(name, body):
         try:
@@ -457,10 +451,9 @@ def verify_stratum(theta: int) -> StratumVerification:
     def euler_check():
         lhs = table.euler_characteristic()
         rhs = IntPolynomial.zero()
-        for theta_prime in range(theta + 1):
-            for e in eo_stratum_cohomology(theta, theta_prime, page).entries:
-                dim = page.dimension(theta_prime, e.frobenius_exponent)
-                rhs = rhs + dim if e.degree % 2 == 0 else rhs - dim
+        for a in range(2 * theta + 1):
+            for theta_prime, dim in enumerate(chain_dims(a), start=(a + 1) // 2):
+                rhs = rhs + dim if (theta_prime + a // 2) % 2 == 0 else rhs - dim
         if lhs != rhs:
             return [f"stratum {lhs} != sum over pieces {rhs}"]
         return []
@@ -469,8 +462,7 @@ def verify_stratum(theta: int) -> StratumVerification:
         failures = []
         for a in range(2 * theta + 1):
             alt = IntPolynomial.zero()
-            for j, theta_prime in enumerate(range((a + 1) // 2, theta + 1)):
-                dim = page.dimension(theta_prime, a)
+            for j, dim in enumerate(chain_dims(a)):
                 alt = alt + dim if j % 2 == 0 else alt - dim
             target = table.eigenspace(a, a).dimension_poly()
             if alt != target:

@@ -10,7 +10,6 @@ character tables cross-checks the rule at small rank.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, reduce
 from math import factorial
 from typing import Iterable, Iterator, Mapping
@@ -231,36 +230,23 @@ class RepMultiset:
         ]
 
 
-# -- Levi shapes and induction --------------------------------------------
+# -- Harish-Chandra induction ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeviShape:
-    """Block-diagonal Levi U_b(q) x GL_{a_1}(q^2) x ... x GL_{a_r}(q^2) inside U_n(q)."""
-
-    unitary_rank: int
-    gl_ranks: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.unitary_rank < 0 or any(a < 0 for a in self.gl_ranks):
-            raise ValueError("ranks must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.unitary_rank + 2 * sum(self.gl_ranks)
-
-
-def hc_induce(shape: LeviShape, unitary: SymbolLabel) -> RepMultiset:
-    """Harish-Chandra induction from the Levi up to U_n(q) of `unitary` on the
-    unitary block tensored with the trivial label of every GL block.
+def hc_induce(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> RepMultiset:
+    """Harish-Chandra induction from the block-diagonal Levi
+    U_b(q) x GL_{a_1}(q^2) x ... x GL_{a_r}(q^2), b = unitary.rank and
+    (a_1, ..., a_r) = gl_ranks, up to U_n(q), n = b + 2 * sum(gl_ranks), of
+    `unitary` on the unitary block tensored with the trivial label of every
+    GL block.
 
     The bipartition side is an iterated Pieri induction, one GL block at a
     time.  Rank-zero GL blocks are the identity and are skipped.
     """
-    if unitary.rank != shape.unitary_rank:
-        raise ValueError(f"unitary label rank {unitary.rank} != block rank {shape.unitary_rank}")
+    if any(a < 0 for a in gl_ranks):
+        raise ValueError("ranks must be nonnegative")
     current: Counter[Bipartition] = Counter({unitary.bipartition: 1})
-    for a in shape.gl_ranks:
+    for a in gl_ranks:
         if a == 0:
             continue
         nxt: Counter[Bipartition] = Counter()

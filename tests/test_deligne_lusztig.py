@@ -24,7 +24,6 @@ from unicoh import deligne_lusztig as dl
 from unicoh import unipotent
 from unicoh.deligne_lusztig import (
     CohomologyTable,
-    SpectralPage,
     _stratum_term_explicit,
     _stratum_term_pieri,
     coxeter_dimension_checks,
@@ -182,8 +181,7 @@ class TestSpectralPage:
 
     @staticmethod
     def columns(theta: int) -> list[CohomologyTable]:
-        page = SpectralPage(theta)
-        return [eo_stratum_cohomology(theta, tp, page) for tp in range(theta + 1)]
+        return [eo_stratum_cohomology(theta, tp) for tp in range(theta + 1)]
 
     def test_theta_zero(self):
         (column,) = self.columns(0)
@@ -330,15 +328,59 @@ class TestFirstPageOncePerCall:
 
     @pytest.mark.parametrize("theta", range(0, 9))
     def test_readers_agree_with_and_without_page(self, theta):
-        page = SpectralPage(theta)
-        assert stratum_cohomology(theta, page) == stratum_cohomology(theta)
+        # the whole first page held as chains (as verify_stratum holds it) or
+        # built one chain at a time (as stratum_cohomology does) gives one
+        # table, and the stratum columns read the same cells
+        chains = [dl._eigen_chain(theta, a) for a in range(2 * theta + 1)]
+        assert dl._table_from_chains(theta, chains.__getitem__) == stratum_cohomology(theta)
+        columns = [eo_stratum_cohomology(theta, tp) for tp in range(theta + 1)]
+        for a, chain in enumerate(chains):
+            for theta_prime, term in enumerate(chain, start=(a + 1) // 2):
+                assert term == stratum_term(theta, theta_prime, a)
+                assert columns[theta_prime].eigenspace(theta_prime + a // 2, a) == term
+
+    @pytest.mark.parametrize("theta", range(0, 6))
+    def test_stratum_cohomology_builds_each_cell_once(self, monkeypatch, theta):
+        calls = self.count_terms(monkeypatch)
+        stratum_cohomology(theta)
+        assert len(calls) == (theta + 1) ** 2
+        assert len({cell for cell, _ in calls}) == len(calls)
+
+    @pytest.mark.parametrize("theta", range(0, 5))
+    def test_eo_stratum_builds_each_exponent_once(self, monkeypatch, theta):
+        calls = self.count_terms(monkeypatch)
         for theta_prime in range(theta + 1):
-            assert eo_stratum_cohomology(theta, theta_prime, page) == eo_stratum_cohomology(
-                theta, theta_prime
-            )
-        for theta_prime in range(theta + 1):
-            for a in range(2 * theta_prime + 1):
-                assert page.term(theta_prime, a) == stratum_term(theta, theta_prime, a)
+            start = len(calls)
+            eo_stratum_cohomology(theta, theta_prime)
+            cells = [cell for cell, _ in calls[start:]]
+            assert cells == [(theta_prime, a) for a in range(2 * theta_prime + 1)]
+
+    # cells (theta', a) of theta = 3 whose exponent chain (theta' from
+    # (a + 1) // 2 to 3) has at least two terms: exponents a <= 4
+    LONG_CHAIN_CELLS = [(tp, a) for a in range(5) for tp in range((a + 1) // 2, 4)]
+
+    @pytest.mark.parametrize("cell", LONG_CHAIN_CELLS)
+    def test_heavier_cell_fails_the_dimension_checks(self, monkeypatch, cell):
+        # the same constituents with one more unit of dimension: only the two
+        # checks that sum every first-page cell can see it
+        class Heavier(RepMultiset):
+            __slots__ = ()
+
+            def dimension_poly(self):
+                return super().dimension_poly() + IntPolynomial.one()
+
+        original = dl.stratum_term
+
+        def heavier(theta, theta_prime, a):
+            term = original(theta, theta_prime, a)
+            return Heavier(term.counts) if (theta_prime, a) == cell else term
+
+        monkeypatch.setattr(dl, "stratum_term", heavier)
+        failed = [c.name for c in verify_stratum(3).checks if not c.passed]
+        assert failed == [
+            "euler-characteristic-additivity (theta=3)",
+            "eigenvalue-alternating-sums (theta=3)",
+        ]
 
 
 class TestStratumCohomology:
@@ -460,6 +502,25 @@ class TestTableSerialization:
         constituent = data["entries"][1]["constituents"][0]
         constituent[field] = tamper(constituent)
         with pytest.raises(ValueError, match=f"{field} .* does not match symbol"):
+            CohomologyTable.from_json(data)
+
+    def test_zero_multiplicity_is_rejected(self):
+        data = stratum_cohomology(2).to_json()
+        data["entries"][2]["constituents"][1]["multiplicity"] = 0
+        with pytest.raises(ValueError, match="multiplicity 0 .* is not positive"):
+            CohomologyTable.from_json(data)
+
+    def test_repeated_symbol_in_one_entry_is_rejected(self):
+        data = stratum_cohomology(2).to_json()
+        constituents = data["entries"][2]["constituents"]
+        constituents.append(dict(constituents[0], multiplicity=2))
+        with pytest.raises(ValueError, match="listed twice in one entry"):
+            CohomologyTable.from_json(data)
+
+    def test_repeated_eigenspace_is_rejected(self):
+        data = stratum_cohomology(2).to_json()
+        data["entries"].append(data["entries"][1])
+        with pytest.raises(ValueError, match=r"repeated \(degree, frobenius_exponent\) entries: \[\(1, 1\)\]"):
             CohomologyTable.from_json(data)
 
     def test_json_shape(self):

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from unicoh import (
     Bipartition,
-    LeviShape,
     Partition,
     RankCapError,
     RepMultiset,
@@ -287,42 +286,34 @@ class TestRepMultiset:
 class TestHCInduce:
     def test_rank_one_pieri(self):
         # U_1 x GL_1 inside U_3: trivial and Steinberg constituents
-        shape = LeviShape(unitary_rank=1, gl_ranks=(1,))
-        result = hc_induce(shape, symbol(1, (), ()))
+        result = hc_induce(symbol(1, (), ()), (1,))
         assert result == RepMultiset([symbol(1, (1,), ()), symbol(1, (), (1,))])
 
     def test_zero_blocks_identity(self):
         sym = symbol(1, (2, 1), (1,))
-        shape = LeviShape(unitary_rank=sym.rank)
-        assert hc_induce(shape, sym) == RepMultiset([sym])
+        assert hc_induce(sym, ()) == RepMultiset([sym])
 
     def test_rank_zero_gl_block_skipped(self):
         sym = symbol(2, (1,), ())
-        shape = LeviShape(unitary_rank=sym.rank, gl_ranks=(0,))
-        assert hc_induce(shape, sym) == RepMultiset([sym])
+        assert hc_induce(sym, (0,)) == RepMultiset([sym])
 
-    def test_rejects_mismatched_ranks(self):
-        shape = LeviShape(unitary_rank=3, gl_ranks=())
-        with pytest.raises(ValueError):
-            hc_induce(shape, symbol(1, (), ()))
-
-    @pytest.mark.parametrize("unitary_rank, gl_ranks", [(1, (-1,)), (1, (2, -1)), (-1, ())])
+    @pytest.mark.parametrize("unitary_rank, gl_ranks", [(1, (-1,)), (1, (2, -1))])
     def test_negative_rank_is_rejected(self, unitary_rank, gl_ranks):
+        unitary = symbol(1, (), ())
+        assert unitary.rank == unitary_rank
         with pytest.raises(ValueError, match="ranks must be nonnegative"):
-            LeviShape(unitary_rank=unitary_rank, gl_ranks=gl_ranks)
+            hc_induce(unitary, gl_ranks)
 
     def test_rank_bookkeeping(self):
-        shape = LeviShape(unitary_rank=3, gl_ranks=(2, 1))
-        result = hc_induce(shape, symbol(2, (), ()))
+        result = hc_induce(symbol(2, (), ()), (2, 1))
         assert len(result) > 0
         for out in result:
-            assert out.rank == shape.n == 9
+            assert out.rank == 3 + 2 * (2 + 1) == 9
             assert out.t == 2
 
     def test_two_gl_one_blocks_multiplicity(self):
         # two rank-1 blocks over the empty core: the two-dimensional label
         # appears twice, matching the order 8 of the target group
-        shape = LeviShape(unitary_rank=0, gl_ranks=(1, 1))
-        result = hc_induce(shape, symbol(0, (), ()))
+        result = hc_induce(symbol(0, (), ()), (1, 1))
         assert result.multiplicity(symbol(0, (1,), (1,))) == 2
         assert len(result) == 6
