@@ -21,6 +21,8 @@ def main() -> int:
     parser.add_argument("--max-theta", type=int, default=6)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
+    if args.max_theta < 0:
+        parser.error("--max-theta must be nonnegative")
 
     documents = []
     for theta in range(args.max_theta + 1):

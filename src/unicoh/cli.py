@@ -75,13 +75,13 @@ def parse_bipartition(text: str) -> Bipartition:
     return Bipartition(parse_partition(first), parse_partition(second))
 
 
-NONNEGATIVE_FLAGS = ("theta", "k", "a", "n", "t", "add", "remove")
+NONNEGATIVE_FLAGS = ("theta", "k", "a", "n", "t", "add", "remove", *(f"max-{name}" for name in CAPS))
 
 
 def check_nonnegative(args: argparse.Namespace) -> None:
     """Reject a negative value for any of the integer flags a subcommand takes."""
     for name in NONNEGATIVE_FLAGS:
-        value = getattr(args, name, None)
+        value = getattr(args, name.replace("-", "_"), None)
         if value is not None and value < 0:
             raise CliError(f"--{name} must be nonnegative, got {value}")
 
@@ -429,12 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     common.add_argument("--out", metavar="PATH", default=None, help="write output to a file")
-    for name, default in CAPS.items():
-        common.add_argument(f"--max-{name}", type=int, default=default)
     common.add_argument("-q", "--quiet", action="store_true")
     common.add_argument("-v", "--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_caps(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(f"--max-{name}", type=int, default=CAPS[name])
 
     p = sub.add_parser("char-sym", parents=[common], help="symmetric group character value")
     p.add_argument("--lambda", dest="lam", required=True)
@@ -450,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=("sym", "b"), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--a", type=int, default=None)
+    add_caps(p, "n", "a")
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("degree", parents=[common], help="generic degree polynomial")
@@ -497,16 +500,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coxeter", parents=[common], help="Coxeter variety cohomology table")
     p.add_argument("--k", type=int, required=True)
+    add_caps(p, "k")
     p.set_defaults(handler=cmd_coxeter)
 
     p = sub.add_parser("stratum", parents=[common], help="closed stratum cohomology table")
     p.add_argument("--theta", type=int, required=True)
     p.add_argument("--method", choices=("spectral", "closed"), default="spectral")
+    add_caps(p, "theta")
     p.set_defaults(handler=cmd_stratum)
 
     p = sub.add_parser("verify", parents=[common], help="consistency verification run")
     p.add_argument("--theta", type=int, default=None, help="verify one closed stratum")
     p.add_argument("--k", type=int, default=None, help="verify one Coxeter rank")
+    add_caps(p, "theta", "k")
     p.set_defaults(handler=cmd_verify)
 
     return parser

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import RankCapError
 from . import weyl_characters
-from .partitions import Bipartition, Partition, partitions_of
+from .partitions import Bipartition, Partition, bipartitions_of, partitions_of
 from .polynomial import IntPolynomial
 from .unipotent import SymbolLabel, symbol_degree
 
@@ -26,15 +26,40 @@ ORACLE_RANK_CAP = 6
 # -- horizontal strips ---------------------------------------------------
 
 
+def _interlacing(lo: tuple[int, ...], hi: tuple[int, ...], total: int) -> tuple[Partition, ...]:
+    """Every mu with lo_i <= mu_i <= hi_i and sum(mu_i - lo_i) == total, in
+    descending lexicographic order (`label_sort_key` order at one size).
+
+    The bounds must make every such mu a partition.  The rows below row i
+    move at most cap[i + 1] = sum(hi_j - lo_j for j > i) boxes, so row i moves
+    at least `remaining - cap[i + 1]`: every branch yields exactly one mu.
+    """
+    cap = [0] * (len(lo) + 1)
+    for i in range(len(lo) - 1, -1, -1):
+        cap[i] = cap[i + 1] + hi[i] - lo[i]
+    if not 0 <= total <= cap[0]:
+        return ()
+    out: list[Partition] = []
+
+    def build(i: int, remaining: int, prefix: list[int]) -> None:
+        if i == len(lo):
+            out.append(Partition(prefix))
+            return
+        for move in range(min(hi[i] - lo[i], remaining), max(0, remaining - cap[i + 1]) - 1, -1):
+            prefix.append(lo[i] + move)
+            build(i + 1, remaining - move, prefix)
+            prefix.pop()
+
+    build(0, total, [])
+    return tuple(out)
+
+
 @cache
 def add_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...]:
     """All partitions obtained from lam by adding `boxes` boxes, no two in a column.
 
-    Equivalently all mu >= lam interlacing lam: mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...
-    In descending lexicographic order, which is `label_sort_key` order.  The
-    rows below row i can gain at most lam_i boxes in total, so row i takes
-    at least `remaining` (the boxes still to place); with that bound every
-    branch of the recursion yields exactly one partition.
+    Equivalently all mu interlacing lam from above, mu_1 >= lam_1 >= mu_2 >=
+    lam_2 >= ... >= mu_{r+1} >= 0, in `label_sort_key` order.
 
     Memoised per (lam, boxes), so lam must be hashable (a Partition or a
     plain tuple of parts, not a list).
@@ -42,58 +67,23 @@ def add_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...]:
     lam = Partition(lam)
     if boxes < 0:
         raise ValueError("cannot add a negative number of boxes")
-
-    padded = tuple(lam) + (0,)
-    out: list[Partition] = []
-
-    def build(i: int, remaining: int, upper: int, prefix: list[int]) -> None:
-        if i == len(padded):
-            out.append(Partition(prefix))
-            return
-        low = padded[i]
-        high = min(upper, low + remaining)
-        for val in range(high, max(low, remaining) - 1, -1):
-            prefix.append(val)
-            build(i + 1, remaining - (val - low), low, prefix)
-            prefix.pop()
-
-    build(0, boxes, (lam[0] if lam else 0) + boxes, [])
-    return tuple(out)
+    return _interlacing(lam + (0,), ((lam[0] if lam else 0) + boxes,) + lam, boxes)
 
 
 @cache
 def remove_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...]:
     """All partitions obtained from lam by deleting `boxes` boxes, no two in a column.
 
-    In descending lexicographic order, which is `label_sort_key` order.  The
-    rows below row i can lose at most lam_{i+1} boxes in total, so row i
-    keeps at most lam_i + lam_{i+1} - `remaining`; with that bound every
-    branch of the recursion yields exactly one partition.
+    Equivalently all mu interlacing lam from below, lam_1 >= mu_1 >= lam_2 >=
+    mu_2 >= ... >= lam_r >= mu_r >= 0, in `label_sort_key` order.  Such a mu
+    keeps lam_2 + ... + lam_r boxes plus lam_1 - `boxes` more.
 
     Memoised per (lam, boxes), like add_horizontal_strips.
     """
     lam = Partition(lam)
     if boxes < 0:
         raise ValueError("cannot delete a negative number of boxes")
-    if boxes > lam.size:
-        return ()
-
-    padded = tuple(lam) + (0,)
-    out: list[Partition] = []
-
-    def build(i: int, remaining: int, prefix: list[int]) -> None:
-        if i == len(lam):
-            out.append(Partition(prefix))
-            return
-        low = max(padded[i + 1], padded[i] - remaining)
-        high = min(padded[i], padded[i] + padded[i + 1] - remaining)
-        for val in range(high, low - 1, -1):
-            prefix.append(val)
-            build(i + 1, remaining - (padded[i] - val), prefix)
-            prefix.pop()
-
-    build(0, boxes, [])
-    return tuple(out)
+    return _interlacing(lam[1:] + (0,) if lam else (), lam, (lam[0] if lam else 0) - boxes)
 
 
 # -- Pieri rule ----------------------------------------------------------
@@ -287,7 +277,7 @@ def induction_multiplicity_oracle(
     if target.size != r + s:
         raise ValueError("target label must be a bipartition of r + s")
     total = 0
-    for b_class in weyl_characters.sorted_bipartitions(r):
+    for b_class in bipartitions_of(r):
         size_b = weyl_characters.typeb_class_size(b_class) if r else 1
         chi_b = weyl_characters.chi_typeb(weyl_label, b_class)
         if chi_b == 0:

@@ -1,9 +1,10 @@
 """Exact irreducible characters of symmetric groups and hyperoctahedral groups.
 
-Character values are computed by the Murnaghan-Nakayama recursion (strip
-removal with alternating signs) in type A, and by its signed-block variant
-in type B.  A brute-force signed-permutation model of the type-B group is
-provided as an independent oracle for small rank.
+Character values are computed by one recursion, the type-B variant of the
+Murnaghan-Nakayama rule (strip removal with alternating signs).  A
+symmetric-group value is the type-B value at (lam, empty), (nu, empty).  A
+brute-force signed-permutation model of the type-B group is provided as an
+independent oracle for small rank.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Iterator
 
 from .errors import RankCapError
 from .partitions import (
+    EMPTY,
     Bipartition,
     Partition,
     bipartitions_of,
@@ -29,21 +31,13 @@ BRUTE_FORCE_RANK_CAP = 5
 
 @cache
 def chi_sym(lam: Partition, nu: Partition) -> int:
-    """Character value of the symmetric group irreducible lam at cycle type nu.
-
-    Recursion peels border strips of size nu[0]; removing a strip of height
-    h contributes sign (-1)**h.  Base case: empty on empty is 1.
-    """
+    """Character value of the symmetric group irreducible lam at cycle type nu:
+    (lam, empty) is the W_n irreducible that factors through W_n -> S_n, so the
+    value is chi_typeb at it and at the all-positive class (nu, empty)."""
     lam, nu = Partition(lam), Partition(nu)
     if lam.size != nu.size:
         raise ValueError(f"size mismatch: |{tuple(lam)}| != |{tuple(nu)}|")
-    if not nu:
-        return 1
-    x, rest = nu[0], Partition(nu[1:])
-    total = 0
-    for strip in border_strips(lam, x):
-        total += (-1) ** strip.height * chi_sym(strip.result, rest)
-    return total
+    return chi_typeb(Bipartition(lam, EMPTY), Bipartition(nu, EMPTY))
 
 
 @cache
@@ -92,18 +86,12 @@ def sym_class_size(nu: Partition) -> int:
     return factorial(nu.size) // sym_centralizer_order(nu)
 
 
-def typeb_centralizer_order(klass: Bipartition) -> int:
-    order = 1
-    for component in klass:
-        for length, m in Counter(component).items():
-            order *= (2 * length) ** m * factorial(m)
-    return order
-
-
 def typeb_class_size(klass: Bipartition) -> int:
-    """Number of signed permutations with the given signed cycle type."""
-    a = klass.first.size + klass.second.size
-    return (2**a * factorial(a)) // typeb_centralizer_order(klass)
+    """Number of signed permutations of signed cycle type (gamma, theta); a
+    cycle of length l adds 2l to the centralizer order where S_a's adds l."""
+    gamma, theta = klass
+    z = 2 ** (len(gamma) + len(theta)) * sym_centralizer_order(gamma) * sym_centralizer_order(theta)
+    return (2**klass.size * factorial(klass.size)) // z
 
 
 # -- brute-force signed permutations ------------------------------------
@@ -186,14 +174,6 @@ def label_sort_key(label):
     return tuple(-p for p in label) + (1,)
 
 
-def sorted_partitions(n: int) -> list[Partition]:
-    return sorted(partitions_of(n), key=label_sort_key)
-
-
-def sorted_bipartitions(n: int) -> list[Bipartition]:
-    return sorted(bipartitions_of(n), key=label_sort_key)
-
-
 @dataclass(frozen=True)
 class CharacterTable:
     group: str
@@ -235,25 +215,23 @@ class CharacterTable:
         }
 
 
-def character_table_sym(n: int) -> CharacterTable:
-    """Full character table of the symmetric group on n letters."""
-    labels = tuple(sorted_partitions(n))
+def _character_table(group: str, labels, class_size, chi) -> CharacterTable:
+    """Square table: labels and classes are both `labels` in `label_sort_key` order."""
+    labels = tuple(sorted(labels, key=label_sort_key))
     return CharacterTable(
-        group=f"S{n}",
+        group=group,
         labels=labels,
         classes=labels,
-        class_sizes=tuple(sym_class_size(nu) for nu in labels),
-        values=tuple(tuple(chi_sym(lam, nu) for nu in labels) for lam in labels),
+        class_sizes=tuple(class_size(k) for k in labels),
+        values=tuple(tuple(chi(lam, k) for k in labels) for lam in labels),
     )
+
+
+def character_table_sym(n: int) -> CharacterTable:
+    """Full character table of the symmetric group on n letters."""
+    return _character_table(f"S{n}", partitions_of(n), sym_class_size, chi_sym)
 
 
 def character_table_typeb(a: int) -> CharacterTable:
     """Full character table of the hyperoctahedral group W_a."""
-    labels = tuple(sorted_bipartitions(a))
-    return CharacterTable(
-        group=f"W{a}",
-        labels=labels,
-        classes=labels,
-        class_sizes=tuple(typeb_class_size(k) for k in labels),
-        values=tuple(tuple(chi_typeb(lam, k) for k in labels) for lam in labels),
-    )
+    return _character_table(f"W{a}", bipartitions_of(a), typeb_class_size, chi_typeb)

@@ -346,6 +346,24 @@ class TestStripCacheFault:
         assert status == 1
 
 
+class TestSymThroughTypeB:
+    def test_typeb_fault_reaches_sym_table(self, monkeypatch, character_caches):
+        # S_n values are W_n values at (lam, empty), (nu, empty), so a fault in
+        # the one recursion must show in the S_n table too
+        assert wc.character_table_sym(3).is_orthogonal(6)
+        original = wc.chi_typeb
+
+        def broken(label, klass):
+            value = original(label, klass)
+            if label == Bipartition.of((2, 1), ()) and klass == Bipartition.of((1, 1, 1), ()):
+                return value + 1
+            return value
+
+        monkeypatch.setattr(wc, "chi_typeb", broken)
+        character_caches()
+        assert not wc.character_table_sym(3).is_orthogonal(6)
+
+
 class TestHorizontalStripCacheFault:
     def test_strip_fault_behind_warm_cache_flips_verify(self, capsys, monkeypatch, character_caches):
         assert dl.verify_stratum(3).ok
@@ -457,6 +475,31 @@ class TestCaps:
             "expect longer runtimes\n"
         )
 
+    @pytest.mark.parametrize("argv,name", CHEAP + [(("verify",), "theta"), (("verify",), "k")])
+    def test_negative_cap_is_usage_error(self, capsys, argv, name):
+        # a negative cap would empty the verify sweep, which then reports OK
+        status, out, err = run(capsys, *argv, f"--max-{name}", "-1")
+        assert status == 2
+        assert out == ""
+        assert err == f"error: --max-{name} must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("char-sym", "--lambda", "1", "--class", "1", "--max-theta", "9"),
+            ("pieri", "--label", "1/", "--add", "1", "--max-a", "9"),
+            ("table", "--group", "sym", "--n", "1", "--max-theta", "9"),
+            ("coxeter", "--k", "1", "--max-n", "9"),
+            ("stratum", "--theta", "1", "--max-k", "9"),
+            ("verify", "--k", "0", "--max-a", "9"),
+        ],
+    )
+    def test_cap_on_a_subcommand_that_ignores_it_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --max-" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,name", CHEAP)
     def test_quiet_silences_raised_cap(self, capsys, argv, name):
         status, _, err = run(capsys, *argv, f"--max-{name}", str(cli.CAPS[name] + 1), "-q")
@@ -532,6 +575,17 @@ class TestBenchGolden:
         out = capsys.readouterr().out
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == golden["char-tables"]
+
+
+class TestSymTableGolden:
+    # measured with a separate S_n strip recursion, which chi_typeb must reproduce
+    S8_JSON_SHA256 = "dd31fdf738ccc147f75f5c1a4c23e6279042966709ff37fd657af614b596de7f"
+
+    def test_s8_table_matches_digest(self, capsys):
+        status = main(["table", "--group", "sym", "--n", "8", "--max-n", "8", "-q", "--format", "json"])
+        out = capsys.readouterr().out
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.S8_JSON_SHA256
 
 
 class TestBrokenPipe:

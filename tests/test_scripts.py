@@ -71,6 +71,13 @@ def test_stratum_tables_script_exports_closed_formula(tmp_path):
         assert document == expected
 
 
+def test_stratum_tables_negative_cap_is_usage_error():
+    proc = run_script("stratum_tables.py", "--max-theta", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--max-theta must be nonnegative" in proc.stderr
+
+
 def test_stratum_tables_export_gate_fails_loudly(tmp_path, monkeypatch, capsys):
     # a disagreement between the engine and the closed formula must exit 1
     # with the mismatch printed, also under python -O
