@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Recompute closed-stratum cohomology tables over a range of theta.
 
-For each theta the table is assembled through the spectral bookkeeping,
-verified against the closed formula, and exported with symbol labels and
-exact dimension polynomials.  Example:
+For each theta, verify_stratum assembles the table through the spectral
+bookkeeping and checks it against the closed formula, eigenspace by
+eigenspace; the table it has proven equal is then exported with symbol
+labels and exact dimension polynomials.  Example:
 
     python scripts/stratum_tables.py --max-theta 6 --out tables.json
 """
@@ -11,9 +12,8 @@ exact dimension polynomials.  Example:
 import argparse
 import json
 import sys
-from itertools import zip_longest
 
-from unicoh import closed_stratum_cohomology, stratum_cohomology, verify_stratum
+from unicoh import closed_stratum_cohomology, verify_stratum
 
 
 def main() -> int:
@@ -31,20 +31,9 @@ def main() -> int:
             for check in report.checks:
                 print(check.line(), file=sys.stderr)
             return 1
-        table = stratum_cohomology(theta)
-        document, expected = table.to_json(), closed_stratum_cohomology(theta).to_json()
-        if document != expected:
-            print(f"theta={theta}: spectral table differs from the closed formula", file=sys.stderr)
-            for got, want in zip_longest(document["entries"], expected["entries"]):
-                if got != want:
-                    print(f"  spectral: {json.dumps(got)}\n  closed:   {json.dumps(want)}",
-                          file=sys.stderr)
-            return 1
-        documents.append(document)
-        dims = [
-            str(entry.constituents.dimension_poly())
-            for entry in table.entries
-        ]
+        table = closed_stratum_cohomology(theta)
+        documents.append(table.to_json())
+        dims = [str(entry.constituents.dimension_poly()) for entry in table.entries]
         print(f"theta={theta}: degrees 0..{2 * theta}, dims {dims}")
 
     if args.out:

@@ -23,7 +23,7 @@ from math import factorial
 from . import deligne_lusztig as dl
 from . import harish_chandra as hc
 from . import weyl_characters as wc
-from .errors import RankCapError, VerificationError
+from .errors import VerificationError
 from .partitions import (
     Bipartition,
     Partition,
@@ -51,6 +51,9 @@ BROKEN_PIPE_STATUS = 141
 
 # largest Weyl-group rank of the character and induction cross-checks in `verify`
 FOUNDATION_RANK = 3
+
+# deepest theta and k of the plain `verify` sweep; a lowered --max-theta/--max-k lowers it
+SWEEP_DEPTH = 6
 
 
 class CliError(Exception):
@@ -396,8 +399,15 @@ def cmd_verify(args) -> Document:
         if args.k >= 1:
             checks.extend(dl.coxeter_restriction_checks(args.k))
     if args.theta is None and args.k is None:
-        sweep_theta = min(args.max_theta, 6)
-        sweep_k = min(args.max_k, 6)
+        for name in ("theta", "k"):
+            cap = getattr(args, f"max_{name}")
+            if cap > CAPS[name]:
+                raise CliError(
+                    f"--max-{name} {cap} is above its default {CAPS[name]}, but the sweep stops at "
+                    f"{name} = {SWEEP_DEPTH}; verify a deeper {name} with --{name}"
+                )
+        sweep_theta = min(args.max_theta, SWEEP_DEPTH)
+        sweep_k = min(args.max_k, SWEEP_DEPTH)
         checks.extend(_foundation_checks())
         for k in range(sweep_k + 1):
             checks.extend(dl.coxeter_dimension_checks(k))
@@ -524,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         check_nonnegative(args)
         doc = args.handler(args)
-    except (CliError, RankCapError) as exc:
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -29,9 +29,9 @@ from .polynomial import IntPolynomial, prod, q_minus_sign
 from .unipotent import SymbolLabel, from_symbol, symbol_degree, to_symbol
 
 
-def tate_twist(exponent: int, n: int = 1) -> int:
-    """Frobenius-exponent shift of the n-fold Tate twist."""
-    return exponent + 2 * n
+def tate_twist(exponent: int) -> int:
+    """Frobenius-exponent shift of one Tate twist."""
+    return exponent + 2
 
 
 # -- tables ----------------------------------------------------------------
@@ -54,8 +54,9 @@ class CohomologyTable:
 
     @cached_property
     def _index(self) -> dict[int, dict[int, CohomologyEntry]]:
-        """degree -> exponent -> entry, the first entry winning a repeated pair.
-        Derived from `entries`, so not part of equality or the JSON."""
+        """degree -> exponent -> entry; the engine never builds a repeated
+        (degree, exponent) pair.  Derived from `entries`, so not part of
+        equality or the JSON."""
         index: dict[int, dict[int, CohomologyEntry]] = {}
         for e in self.entries:
             index.setdefault(e.degree, {}).setdefault(e.frobenius_exponent, e)
@@ -106,42 +107,6 @@ class CohomologyTable:
                 for e in self.entries
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CohomologyTable":
-        """Inverse of to_json.  A constituent's `partition` or `degree_poly`,
-        when present, must be the one its symbol determines, its multiplicity
-        must be positive and its symbol listed once per entry, and no
-        (degree, frobenius_exponent) pair may repeat; otherwise ValueError."""
-
-        def label(c: dict) -> SymbolLabel:
-            sym = SymbolLabel.from_json(c["symbol"])
-            if "partition" in c and Partition(c["partition"]) != from_symbol(sym):
-                raise ValueError(f"partition {c['partition']} does not match symbol {c['symbol']}")
-            if "degree_poly" in c and IntPolynomial.from_json(c["degree_poly"]) != symbol_degree(sym):
-                raise ValueError(f"degree_poly {c['degree_poly']} does not match symbol {c['symbol']}")
-            return sym
-
-        def constituents(e: dict) -> RepMultiset:
-            counts: dict[SymbolLabel, int] = {}
-            for c in e["constituents"]:
-                sym, mult = label(c), int(c.get("multiplicity", 1))
-                if mult < 1:
-                    raise ValueError(f"multiplicity {mult} of symbol {c['symbol']} is not positive")
-                if sym in counts:
-                    raise ValueError(f"symbol {c['symbol']} listed twice in one entry")
-                counts[sym] = mult
-            return RepMultiset(counts)
-
-        entries = tuple(
-            CohomologyEntry(int(e["degree"]), int(e["frobenius_exponent"]), constituents(e))
-            for e in data["entries"]
-        )
-        pairs = Counter((e.degree, e.frobenius_exponent) for e in entries)
-        repeated = sorted(pair for pair, n in pairs.items() if n > 1)
-        if repeated:
-            raise ValueError(f"repeated (degree, frobenius_exponent) entries: {repeated}")
-        return cls(variety=data["variety"], entries=entries)
 
 
 # -- Coxeter varieties ------------------------------------------------------

@@ -262,7 +262,6 @@ def induction_multiplicity_oracle(
     weyl_label: Bipartition,
     sym_label: Partition,
     target: Bipartition,
-    rank_cap: int = ORACLE_RANK_CAP,
 ) -> int:
     """Multiplicity of chi_target in Ind from W_r x S_s, by Frobenius reciprocity.
 
@@ -270,8 +269,8 @@ def induction_multiplicity_oracle(
     <Ind(phi), chi> = sum over classes of W_r x S_s of
     |class| * phi(class) * chi(fused class) / |W_r x S_s|.
     """
-    if r + s > rank_cap:
-        raise RankCapError(f"oracle rank {r + s} above cap {rank_cap}")
+    if r + s > ORACLE_RANK_CAP:
+        raise RankCapError(f"oracle rank {r + s} above cap {ORACLE_RANK_CAP}")
     if weyl_label.size != r or Partition(sym_label).size != s:
         raise ValueError("label sizes must match the subgroup ranks")
     if target.size != r + s:

@@ -203,10 +203,6 @@ class IntPolynomial:
         """Coefficients as decimal strings, lowest power first."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: Iterable[str]) -> "IntPolynomial":
-        return cls([int(s) for s in data])
-
 
 def prod(factors: Iterable[IntPolynomial]) -> IntPolynomial:
     acc = IntPolynomial.one()

@@ -120,10 +120,6 @@ class SymbolLabel:
     def to_json(self) -> dict:
         return {"t": self.t, "alpha": list(self.alpha), "beta": list(self.beta)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SymbolLabel":
-        return cls(int(data["t"]), Partition(data["alpha"]), Partition(data["beta"]))
-
 
 def symbol(t: int, alpha, beta) -> SymbolLabel:
     return SymbolLabel(t, Partition(alpha), Partition(beta))

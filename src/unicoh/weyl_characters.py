@@ -136,11 +136,11 @@ class SignedPermutationGroup:
     Intended as a test oracle; ranks above the cap are rejected.
     """
 
-    def __init__(self, a: int, rank_cap: int = BRUTE_FORCE_RANK_CAP):
+    def __init__(self, a: int):
         if a < 0:
             raise ValueError("rank must be nonnegative")
-        if a > rank_cap:
-            raise RankCapError(f"rank {a} above brute-force cap {rank_cap}")
+        if a > BRUTE_FORCE_RANK_CAP:
+            raise RankCapError(f"rank {a} above brute-force cap {BRUTE_FORCE_RANK_CAP}")
         self.rank = a
         self.elements = tuple(signed_permutations(a))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from unicoh import Bipartition, ExactDivisionError, Partition
+from unicoh import Bipartition, ExactDivisionError, Partition, RankCapError
 from unicoh import cli
 from unicoh import deligne_lusztig as dl
 from unicoh import harish_chandra as hc
@@ -205,8 +205,8 @@ class TestTables:
 
     def test_stratum_json_round_trips(self, capsys):
         _, out, _ = run(capsys, "stratum", "--theta", "1", "--format", "json")
-        table = dl.CohomologyTable.from_json(json.loads(out))
-        assert table == dl.stratum_cohomology(1)
+        expected = json.loads(json.dumps(dl.stratum_cohomology(1).to_json()))
+        assert json.loads(out) == expected
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.json"
@@ -244,6 +244,12 @@ class TestVerify:
         status, out, _ = run(capsys, "verify", "-q")
         assert status == 0
         assert "FAIL" not in out
+
+    def test_lowered_cap_lowers_the_sweep(self, capsys):
+        status, out, err = run(capsys, "verify", "--max-theta", "3")
+        assert status == 0
+        assert err == ""
+        assert out.splitlines()[-1] == "OK: 129/129 checks passed"
 
     def test_sweep_json(self, capsys):
         status, out, _ = run(capsys, "verify", "--theta", "2", "--format", "json")
@@ -483,6 +489,17 @@ class TestCaps:
         assert out == ""
         assert err == f"error: --max-{name} must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize("name", ["theta", "k"])
+    def test_raised_cap_on_the_sweep_is_usage_error(self, capsys, name):
+        # the sweep stops at SWEEP_DEPTH whatever the cap, so a raised cap
+        # would otherwise be ignored without a word
+        status, out, err = run(capsys, "verify", f"--max-{name}", str(cli.CAPS[name] + 1), "-q")
+        assert status == 2
+        assert out == ""
+        assert err.startswith(f"error: --max-{name} {cli.CAPS[name] + 1} is above its default")
+        assert f"the sweep stops at {name} = {cli.SWEEP_DEPTH}" in err
+        assert err.endswith(f"with --{name}\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -538,6 +555,19 @@ class TestLibraryFailures:
         assert status == 1
         assert out == ""
         assert err.startswith("internal failure: ")
+
+    def test_rank_cap_error_is_internal(self, capsys, monkeypatch):
+        # no CLI input reaches a rank cap, so one raised is an engine bug
+        assert cli.FOUNDATION_RANK < min(wc.BRUTE_FORCE_RANK_CAP, hc.ORACLE_RANK_CAP)
+
+        def capped(a):
+            raise RankCapError("injected")
+
+        monkeypatch.setattr(wc, "SignedPermutationGroup", capped)
+        status, out, err = run(capsys, "verify", "-q")
+        assert status == 1
+        assert out == ""
+        assert err == "internal failure: injected\n"
 
     def test_keyboard_interrupt_is_not_caught(self, monkeypatch):
         def interrupted(lam):

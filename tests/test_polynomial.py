@@ -57,11 +57,8 @@ def test_str():
     assert str(IntPolynomial((1, 2))) == "2*q + 1"
 
 
-def test_json_round_trip():
-    p = IntPolynomial((10**30, -3, 7))
-    encoded = p.to_json()
-    assert encoded == [str(10**30), "-3", "7"]
-    assert IntPolynomial.from_json(encoded) == p
+def test_json_keeps_every_digit():
+    assert IntPolynomial((10**30, -3, 7)).to_json() == [str(10**30), "-3", "7"]
 
 
 @given(int_polys(), int_polys(), int_polys())

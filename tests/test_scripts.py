@@ -79,21 +79,23 @@ def test_stratum_tables_negative_cap_is_usage_error():
 
 
 def test_stratum_tables_export_gate_fails_loudly(tmp_path, monkeypatch, capsys):
-    # a disagreement between the engine and the closed formula must exit 1
-    # with the mismatch printed, also under python -O
+    # a disagreement between the engine and the closed formula must reach
+    # verify_stratum's check and exit 1 with the mismatch printed, also
+    # under python -O
     script = load_script("stratum_tables.py")
+    real = dl.closed_stratum_cohomology
 
     def wrong_closed(theta):
-        table = closed_stratum_cohomology(theta)
+        table = real(theta)
         first = table.entries[0]
         entries = (CohomologyEntry(first.degree, first.frobenius_exponent, RepMultiset()),)
         return CohomologyTable(table.variety, entries + table.entries[1:])
 
-    monkeypatch.setattr(script, "closed_stratum_cohomology", wrong_closed)
+    monkeypatch.setattr(dl, "closed_stratum_cohomology", wrong_closed)
     out = tmp_path / "tables.json"
     monkeypatch.setattr(sys, "argv", ["stratum_tables.py", "--max-theta", "1", "--out", str(out)])
     assert script.main() == 1
     err = capsys.readouterr().err
-    assert "theta=0: spectral table differs from the closed formula" in err
-    assert '"constituents": []' in err
+    assert "FAIL stratum-equals-closed-formula (theta=0): H^0 exponent 0: " in err
+    assert "!= RepMultiset({})\n" in err
     assert not out.exists()
