@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from unicoh import (
@@ -467,8 +469,10 @@ class TestRestrictionIdentity:
 
 
 class TestTableSerialization:
-    def test_json_variety(self):
-        assert stratum_cohomology(2).to_json()["variety"] == "closed-stratum(theta=2)"
+    def test_json_round_trip(self):
+        data = stratum_cohomology(2).to_json()
+        assert data["variety"] == "closed-stratum(theta=2)"
+        assert json.loads(json.dumps(data)) == data
 
     def test_index_stays_out_of_equality_and_json(self):
         table = stratum_cohomology(3)
@@ -478,6 +482,14 @@ class TestTableSerialization:
         assert table.at(9) == ()
         assert table == fresh and hash(table) == hash(fresh)
         assert table.to_json() == fresh.to_json()
+
+    @pytest.mark.parametrize("theta", range(0, 9))
+    def test_every_stratum_table_round_trips(self, theta):
+        # the JSON text keeps the whole table, and it is the same text as the
+        # closed formula's, which is the table scripts/stratum_tables.py exports
+        data = stratum_cohomology(theta).to_json()
+        assert json.loads(json.dumps(data)) == data
+        assert data == closed_stratum_cohomology(theta).to_json()
 
     def test_json_shape(self):
         data = coxeter_cohomology(1).to_json()

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -188,9 +189,10 @@ class TestSymbolTranslation:
                     (1,) * (k - a_half - 1),
                 )
 
-    def test_symbol_json(self):
+    def test_symbol_json_round_trip(self):
         sym = symbol(2, (3, 1), (2,))
         assert sym.to_json() == {"t": 2, "alpha": [3, 1], "beta": [2]}
+        assert json.loads(json.dumps(sym.to_json())) == sym.to_json()
 
     def test_rank_equation(self):
         sym = symbol(2, (3, 1), (2,))
