@@ -52,7 +52,8 @@ BROKEN_PIPE_STATUS = 141
 # largest Weyl-group rank of the character and induction cross-checks in `verify`
 FOUNDATION_RANK = 3
 
-# deepest theta and k of the plain `verify` sweep; a lowered --max-theta/--max-k lowers it
+# deepest theta and k of the plain `verify` sweep; a lowered --max-theta/--max-k
+# lowers it, and a higher one exits 2
 SWEEP_DEPTH = 6
 
 
@@ -124,7 +125,7 @@ class Document:
 
 def _check_cap(args, name: str, value: int, what: str) -> None:
     """Enforce the soft cap --max-<name>, warning when it is raised above CAPS[name]."""
-    flag, cap = f"--max-{name}", getattr(args, f"max_{name}")
+    flag, cap = f"--max-{name}", getattr(args, f"max_{name}", CAPS[name])
     if value > cap:
         raise CliError(
             f"{what} {value} exceeds the cap {cap}; raise it with {flag} if you accept the runtime"
@@ -399,21 +400,20 @@ def cmd_verify(args) -> Document:
         if args.k >= 1:
             checks.extend(dl.coxeter_restriction_checks(args.k))
     if args.theta is None and args.k is None:
-        for name in ("theta", "k"):
-            cap = getattr(args, f"max_{name}")
-            if cap > CAPS[name]:
+        depth = {name: getattr(args, f"max_{name}", SWEEP_DEPTH) for name in ("theta", "k")}
+        for name, cap in depth.items():
+            if cap > SWEEP_DEPTH:
+                relation = "above" if cap > CAPS[name] else "within"
                 raise CliError(
-                    f"--max-{name} {cap} is above its default {CAPS[name]}, but the sweep stops at "
+                    f"--max-{name} {cap} is {relation} its default {CAPS[name]}, but the sweep stops at "
                     f"{name} = {SWEEP_DEPTH}; verify a deeper {name} with --{name}"
                 )
-        sweep_theta = min(args.max_theta, SWEEP_DEPTH)
-        sweep_k = min(args.max_k, SWEEP_DEPTH)
         checks.extend(_foundation_checks())
-        for k in range(sweep_k + 1):
+        for k in range(depth["k"] + 1):
             checks.extend(dl.coxeter_dimension_checks(k))
             if k >= 1:
                 checks.extend(dl.coxeter_restriction_checks(k))
-        for theta in range(sweep_theta + 1):
+        for theta in range(depth["theta"] + 1):
             checks.extend(dl.verify_stratum(theta).checks)
 
     ok = all(c.passed for c in checks)
@@ -446,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_caps(p: argparse.ArgumentParser, *names: str) -> None:
         for name in names:
-            p.add_argument(f"--max-{name}", type=int, default=CAPS[name])
+            # absent unless given: the verify sweep tells an explicit cap from the default
+            p.add_argument(f"--max-{name}", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("char-sym", parents=[common], help="symmetric group character value")
     p.add_argument("--lambda", dest="lam", required=True)

@@ -10,7 +10,8 @@ character tables cross-checks the rule at small rank.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, reduce
+from functools import cache
+from itertools import zip_longest
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
@@ -206,12 +207,16 @@ class RepMultiset:
         return all(other.counts.get(l, 0) >= m for l, m in self.counts.items())
 
     def dimension_poly(self) -> IntPolynomial:
-        """Sum of generic degrees over the multiset, as a polynomial in q."""
-        return reduce(
-            lambda acc, item: acc + item[1] * symbol_degree(item[0]),
-            self.counts.items(),
-            IntPolynomial.zero(),
-        )
+        """Sum of generic degrees over the multiset, as a polynomial in q.
+
+        One pass: the column sums of every label's coefficient list (scaled
+        only when its multiplicity is not 1) build a single IntPolynomial.
+        """
+        rows = []
+        for label, mult in self.counts.items():
+            coeffs = symbol_degree(label).coeffs
+            rows.append(coeffs if mult == 1 else [mult * c for c in coeffs])
+        return IntPolynomial(map(sum, zip_longest(*rows, fillvalue=0)))
 
     def to_json(self) -> list[dict]:
         return [

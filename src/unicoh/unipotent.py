@@ -139,8 +139,14 @@ def to_symbol(lam: Partition) -> SymbolLabel:
     return SymbolLabel(t, q1, q0)
 
 
+@cache
 def from_symbol(sym: SymbolLabel) -> Partition:
-    """Inverse of to_symbol."""
+    """Inverse of to_symbol.
+
+    Memoised: a label is frozen and hashable and the partition immutable, so
+    each label is translated once per process.  `symbol_degree` stays
+    uncached and looks up `degree_u` at call time.
+    """
     if sym.t % 2 == 0:
         quotient = Bipartition(sym.alpha, sym.beta)
     else:

@@ -5,16 +5,17 @@ strip walking, tableau enumeration, permutation signs) without touching
 the library's beta-set or recursion code paths, so agreement is meaningful.
 The rest are slower library algorithms kept after a faster one replaced
 them: the dense hook formula, domino peeling for 2-cores, the
-horizontal-strip recursions without pruning, and the per-part check of a
-partition's parts.
+horizontal-strip recursions without pruning, the per-part check of a
+partition's parts, and a multiset's dimension summed one polynomial at a time.
 """
 
-from functools import cache
+from functools import cache, reduce
 from itertools import permutations
 
 from unicoh import Bipartition, IntPolynomial, Partition, border_strips
 from unicoh.weyl_characters import label_sort_key
 from unicoh.polynomial import prod, q_minus_one, q_minus_sign
+from unicoh.unipotent import symbol_degree
 
 
 def partition_parts_by_loop(parts) -> tuple[int, ...]:
@@ -115,6 +116,16 @@ def hook_formula_degree(lam: Partition, group: str) -> IntPolynomial:
     a = sum(i * part for i, part in enumerate(lam))
     num = IntPolynomial.q_power(a) * prod(factor(j) for j in range(1, lam.size + 1))
     return num.exact_div(prod(factor(h) for h in diagram_hooks(lam)))
+
+
+def dimension_by_reduce(multiset) -> IntPolynomial:
+    """Sum of generic degrees over a RepMultiset by polynomial arithmetic:
+    each degree scaled by its multiplicity, then added to a running total."""
+    return reduce(
+        lambda acc, item: acc + item[1] * symbol_degree(item[0]),
+        multiset.counts.items(),
+        IntPolynomial.zero(),
+    )
 
 
 def permutation_of_cycle_type(nu: Partition) -> tuple[int, ...]:

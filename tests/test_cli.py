@@ -12,6 +12,7 @@ from unicoh import cli
 from unicoh import deligne_lusztig as dl
 from unicoh import harish_chandra as hc
 from unicoh import partitions
+from unicoh import unipotent
 from unicoh import weyl_characters as wc
 from unicoh.cli import main, parse_bipartition, parse_partition
 
@@ -319,6 +320,7 @@ MEMOISED = (
     partitions.border_strips,
     hc.add_horizontal_strips,
     hc.remove_horizontal_strips,
+    unipotent.from_symbol,
 )
 
 

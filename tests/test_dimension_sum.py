@@ -1,0 +1,113 @@
+"""The one-pass dimension sum and the memoised symbol -> partition translation.
+
+`RepMultiset.dimension_poly` takes column sums of its labels' degree
+coefficients; `dimension_by_reduce` (tests/oracles.py) is the polynomial-
+arithmetic form it replaced.  `from_symbol` is memoised per label; the
+fault test shows a wrong translation reaches the output once its cache is
+cleared.
+"""
+
+from collections import defaultdict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unicoh import Partition, coxeter_cohomology, partitions_of, stratum_term, to_symbol
+from unicoh import deligne_lusztig as dl
+from unicoh import unipotent
+from unicoh.cli import main
+from unicoh.harish_chandra import RepMultiset
+from oracles import dimension_by_reduce
+from strategies import partitions_up_to
+
+
+def _cells(theta: int):
+    """Every (theta', a) cell of the first page at theta."""
+    return [(tp, a) for a in range(2 * theta + 1) for tp in range((a + 1) // 2, theta + 1)]
+
+
+class TestDimensionSumOracle:
+    @pytest.mark.parametrize("theta", range(9))
+    def test_every_stratum_term(self, theta):
+        for tp, a in _cells(theta):
+            term = stratum_term(theta, tp, a)
+            assert term.dimension_poly() == dimension_by_reduce(term), (theta, tp, a)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_every_coxeter_entry(self, k):
+        for entry in coxeter_cohomology(k).entries:
+            ms = entry.constituents
+            assert ms.dimension_poly() == dimension_by_reduce(ms), (k, entry.degree)
+
+    @pytest.mark.parametrize("mult", (2, 3))
+    def test_multiplicities_above_one(self, mult):
+        labels = [to_symbol(lam) for lam in partitions_of(7) if to_symbol(lam).t == 1]
+        ms = RepMultiset({label: mult if i % 2 else 1 for i, label in enumerate(labels)})
+        assert ms.dimension_poly() == dimension_by_reduce(ms)
+        odd, even = RepMultiset(labels[1::2]), RepMultiset(labels[::2])
+        assert ms.dimension_poly() == mult * odd.dimension_poly() + even.dimension_poly()
+
+    def test_empty_multiset(self):
+        assert RepMultiset().dimension_poly().coeffs == ()
+        assert dimension_by_reduce(RepMultiset()).coeffs == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(partitions_up_to(16), st.integers(min_value=1, max_value=3)), max_size=12))
+    def test_random_label_multisets(self, drawn):
+        # one multiset per cuspidal support (t, n) among the drawn labels
+        groups = defaultdict(dict)
+        for lam, mult in drawn:
+            label = to_symbol(lam)
+            group = groups[label.t, label.rank]
+            group[label] = group.get(label, 0) + mult
+        for counts in groups.values():
+            ms = RepMultiset(counts)
+            assert ms.dimension_poly() == dimension_by_reduce(ms)
+
+
+class TestFromSymbolMemo:
+    @pytest.mark.parametrize("n", range(15))
+    def test_memo_agrees_with_the_translation(self, n):
+        for lam in partitions_of(n):
+            sym = to_symbol(lam)
+            assert unipotent.from_symbol(sym) == unipotent.from_symbol.__wrapped__(sym) == lam
+
+
+@pytest.fixture
+def label_cache():
+    """Clear the symbol -> partition cache after the test, so partitions
+    computed under an injected fault do not leak into later tests."""
+    yield unipotent.from_symbol.cache_clear
+    unipotent.from_symbol.cache_clear()
+
+
+def _stratum_json(capsys) -> str:
+    assert main(["stratum", "--theta", "3", "--format", "json"]) == 0
+    return capsys.readouterr().out
+
+
+class TestFromSymbolCacheFault:
+    def test_translation_fault_behind_warm_cache_changes_outputs(self, capsys, monkeypatch, label_cache):
+        assert dl.verify_stratum(3).ok
+        assert unipotent.from_symbol.cache_info().currsize > 0
+        clean = _stratum_json(capsys)
+        original = unipotent.from_core_quotient
+        target = Partition((7,))  # a constituent at theta = 3, and coxeter_hook(3, 6)
+
+        def broken(t, quotient):
+            lam = original(t, quotient)
+            return lam.transpose() if lam == target else lam
+
+        monkeypatch.setattr(unipotent, "from_core_quotient", broken)
+        # every label of theta = 3 is already translated: the fault is not seen yet
+        assert _stratum_json(capsys) == clean
+        label_cache()
+        assert unipotent.from_symbol(to_symbol(target)) == target.transpose()
+        faulty = _stratum_json(capsys)
+        assert faulty != clean
+        # verify_stratum(3) still passes: its dimension checks are identities
+        # between label multisets, which a wrong degree for one label cannot
+        # break; the Coxeter dimension check compares the degree of (7) with
+        # its closed form
+        assert main(["verify", "--k", "3", "-q"]) == 1
