@@ -265,7 +265,8 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 def bipartitions_of(n: int) -> Iterator[Bipartition]:
     """All bipartitions of n, first component major, descending."""
+    parts = [tuple(partitions_of(k)) for k in range(n + 1)]
     for j in range(n, -1, -1):
-        for first in partitions_of(j):
-            for second in partitions_of(n - j):
+        for first in parts[j]:
+            for second in parts[n - j]:
                 yield Bipartition(first, second)

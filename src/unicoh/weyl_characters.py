@@ -1,10 +1,13 @@
 """Exact irreducible characters of symmetric groups and hyperoctahedral groups.
 
 Character values are computed by one recursion, the type-B variant of the
-Murnaghan-Nakayama rule (strip removal with alternating signs).  A
-symmetric-group value is the type-B value at (lam, empty), (nu, empty).  A
-brute-force signed-permutation model of the type-B group is provided as an
-independent oracle for small rank.
+Murnaghan-Nakayama rule (strip removal with alternating signs), one class
+column at a time: `typeb_column(klass)` holds the value of every label of
+W_a at klass and is built by one strip-removal step from the column of the
+class with its last cycle removed.  `chi_typeb` reads its value from that
+column.  A symmetric-group value is the type-B value at (lam, empty),
+(nu, empty).  A brute-force signed-permutation model of the type-B group is
+provided as an independent oracle for small rank.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import factorial
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .errors import RankCapError
 from .partitions import (
@@ -45,28 +49,55 @@ def chi_typeb(label: Bipartition, klass: Bipartition) -> int:
     """Character value of the hyperoctahedral group W_a.
 
     label = (alpha, beta) names the irreducible, klass = (gamma, theta)
-    the conjugacy class (positive / negative cycle lengths).  The recursion
-    peels the last part x of gamma with epsilon = 1, or of theta with
-    epsilon = -1 once gamma is exhausted; a strip taken from beta picks up
-    an extra factor epsilon.
+    the conjugacy class (positive / negative cycle lengths).  The value is
+    read from the class's column; a label of another size is not in it.
     """
-    (alpha, beta), (gamma, theta) = label, klass
-    if alpha.size + beta.size != gamma.size + theta.size:
+    value = typeb_column(klass).get(label)
+    if value is None:
         raise ValueError(f"size mismatch between label {label} and class {klass}")
+    return value
+
+
+@cache
+def typeb_column(klass: Bipartition) -> Mapping[Bipartition, int]:
+    """Every character value of W_a at one class: {label: value} over all
+    labels of size a.
+
+    One Murnaghan-Nakayama step from the column of the class with its last
+    cycle x removed: the last part of gamma with epsilon = 1, or of theta
+    with epsilon = -1 once gamma is exhausted.  A label's value sums, over
+    the strips of size x taken from alpha or from beta, the value of what is
+    left, with sign (-1)**height and an extra factor epsilon for a strip
+    taken from beta.
+    """
+    gamma, theta = klass
     if not gamma and not theta:
-        return 1
+        return MappingProxyType({Bipartition(EMPTY, EMPTY): 1})
     if gamma:
         eps, x = 1, gamma[-1]
         rest = Bipartition(Partition(gamma[:-1]), theta)
     else:
         eps, x = -1, theta[-1]
         rest = Bipartition(gamma, Partition(theta[:-1]))
-    total = 0
-    for strip in border_strips(alpha, x):
-        total += (-1) ** strip.height * chi_typeb(Bipartition(strip.result, beta), rest)
-    for strip in border_strips(beta, x):
-        total += (-1) ** strip.height * eps * chi_typeb(Bipartition(alpha, strip.result), rest)
-    return total
+    previous = typeb_column(rest)
+    column = {}
+    for label in labels_typeb(sum(gamma) + sum(theta)):
+        alpha, beta = label
+        total = 0
+        for strip in border_strips(alpha, x):
+            value = previous[strip.result, beta]
+            total += -value if strip.height % 2 else value
+        for strip in border_strips(beta, x):
+            value = eps * previous[alpha, strip.result]
+            total += -value if strip.height % 2 else value
+        column[label] = total
+    return MappingProxyType(column)
+
+
+@cache
+def labels_typeb(a: int) -> tuple[Bipartition, ...]:
+    """All labels of W_a, in the order of bipartitions_of."""
+    return tuple(bipartitions_of(a))
 
 
 # -- class sizes -------------------------------------------------------
@@ -234,4 +265,4 @@ def character_table_sym(n: int) -> CharacterTable:
 
 def character_table_typeb(a: int) -> CharacterTable:
     """Full character table of the hyperoctahedral group W_a."""
-    return _character_table(f"W{a}", bipartitions_of(a), typeb_class_size, chi_typeb)
+    return _character_table(f"W{a}", labels_typeb(a), typeb_class_size, chi_typeb)

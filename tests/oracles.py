@@ -6,7 +6,10 @@ the library's beta-set or recursion code paths, so agreement is meaningful.
 The rest are slower library algorithms kept after a faster one replaced
 them: the dense hook formula, domino peeling for 2-cores, the
 horizontal-strip recursions without pruning, the per-part check of a
-partition's parts, and a multiset's dimension summed one polynomial at a time.
+partition's parts, a multiset's dimension summed one polynomial at a time,
+and the scalar type-B Murnaghan-Nakayama recursion (`chi_typeb_by_recursion`)
+that the per-class columns replaced.  `hc_index_dimension` is the
+Harish-Chandra index [G:P] of a stratum term's parabolic, from dense products.
 """
 
 from functools import cache, reduce
@@ -227,3 +230,42 @@ def pieri_by_nested_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipa
         for second in strips(start.second, boxes - d)
     ]
     return tuple(sorted(results, key=label_sort_key))
+
+
+@cache
+def chi_typeb_by_recursion(label: Bipartition, klass: Bipartition) -> int:
+    """W_a character value by the scalar Murnaghan-Nakayama recursion: peel
+    the last part x of gamma with epsilon = 1, or of theta with epsilon = -1
+    once gamma is exhausted, one (label, class) pair at a time; a strip taken
+    from beta picks up an extra factor epsilon."""
+    (alpha, beta), (gamma, theta) = label, klass
+    if alpha.size + beta.size != gamma.size + theta.size:
+        raise ValueError(f"size mismatch between label {label} and class {klass}")
+    if not gamma and not theta:
+        return 1
+    if gamma:
+        eps, x = 1, gamma[-1]
+        rest = Bipartition(Partition(gamma[:-1]), theta)
+    else:
+        eps, x = -1, theta[-1]
+        rest = Bipartition(gamma, Partition(theta[:-1]))
+    total = 0
+    for strip in border_strips(alpha, x):
+        total += (-1) ** strip.height * chi_typeb_by_recursion(Bipartition(strip.result, beta), rest)
+    for strip in border_strips(beta, x):
+        total += (-1) ** strip.height * eps * chi_typeb_by_recursion(Bipartition(alpha, strip.result), rest)
+    return total
+
+
+def hc_index_dimension(theta: int, theta_prime: int) -> IntPolynomial:
+    """[G:P] = |G|_p' / |L|_p' for G = U_{2theta+1}(q) and the Levi
+    L = U_{2theta'+1}(q) x GL_{theta-theta'}(q^2): expand both products
+    densely, then one exact division."""
+
+    def unitary_order(n):
+        return prod(q_minus_sign(j) for j in range(1, n + 1))
+
+    levi = unitary_order(2 * theta_prime + 1) * prod(
+        q_minus_one(2 * j) for j in range(1, theta - theta_prime + 1)
+    )
+    return unitary_order(2 * theta + 1).exact_div(levi)

@@ -317,6 +317,8 @@ class TestPieriFaultReachesEngine:
 MEMOISED = (
     wc.chi_sym,
     wc.chi_typeb,
+    wc.typeb_column,
+    wc.labels_typeb,
     partitions.border_strips,
     hc.add_horizontal_strips,
     hc.remove_horizontal_strips,

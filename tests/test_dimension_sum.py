@@ -4,7 +4,9 @@
 coefficients; `dimension_by_reduce` (tests/oracles.py) is the polynomial-
 arithmetic form it replaced.  `from_symbol` is memoised per label; the
 fault test shows a wrong translation reaches the output once its cache is
-cleared.
+cleared.  The Harish-Chandra index identity gives each stratum term's
+dimension by a path that shares no code with the label translation, and
+fails under that same fault.
 """
 
 from collections import defaultdict
@@ -13,12 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicoh import Partition, coxeter_cohomology, partitions_of, stratum_term, to_symbol
+from unicoh import (
+    Partition,
+    coxeter_cohomology,
+    coxeter_hook,
+    degree_u,
+    partitions_of,
+    stratum_term,
+    to_symbol,
+)
 from unicoh import deligne_lusztig as dl
 from unicoh import unipotent
 from unicoh.cli import main
 from unicoh.harish_chandra import RepMultiset
-from oracles import dimension_by_reduce
+from oracles import dimension_by_reduce, hc_index_dimension
 from strategies import partitions_up_to
 
 
@@ -111,3 +121,35 @@ class TestFromSymbolCacheFault:
         # break; the Coxeter dimension check compares the degree of (7) with
         # its closed form
         assert main(["verify", "--k", "3", "-q"]) == 1
+
+
+def _index_mismatches(theta: int) -> list[tuple[int, int]]:
+    """The (theta', a) cells at theta whose dimension is not
+    [G:P] * deg(Coxeter hook of theta' at a)."""
+    return [
+        (tp, a)
+        for tp, a in _cells(theta)
+        if stratum_term(theta, tp, a).dimension_poly()
+        != hc_index_dimension(theta, tp) * degree_u(coxeter_hook(tp, a))
+    ]
+
+
+class TestHarishChandraIndex:
+    @pytest.mark.parametrize("theta", range(11))
+    def test_every_cell_is_index_times_hook_degree(self, theta):
+        assert _index_mismatches(theta) == []
+
+    def test_wrong_translation_breaks_the_identity(self, monkeypatch, label_cache):
+        # the from_core_quotient fault of TestFromSymbolCacheFault, which
+        # verify_stratum(3) cannot see
+        original = unipotent.from_core_quotient
+        target = Partition((7,))
+
+        def broken(t, quotient):
+            lam = original(t, quotient)
+            return lam.transpose() if lam == target else lam
+
+        monkeypatch.setattr(unipotent, "from_core_quotient", broken)
+        label_cache()
+        assert dl.verify_stratum(3).ok
+        assert (3, 6) in _index_mismatches(3)

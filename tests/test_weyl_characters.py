@@ -17,9 +17,10 @@ from unicoh import (
     sym_class_size,
     typeb_class_size,
 )
-from unicoh.weyl_characters import label_sort_key, signed_cycle_type
+from unicoh.weyl_characters import label_sort_key, signed_cycle_type, typeb_column
 
 from oracles import (
+    chi_typeb_by_recursion,
     permutation_of_cycle_type,
     permutation_sign,
     sym_class_size_bruteforce,
@@ -84,6 +85,40 @@ class TestChiTypeB:
             degrees = [chi_typeb(label, identity) for label in bipartitions_of(a)]
             assert all(d > 0 for d in degrees)
             assert sum(d * d for d in degrees) == 2**a * factorial(a)
+
+
+class TestColumnsAgainstRecursion:
+    """chi_typeb reads per-class columns; the scalar recursion is the oracle."""
+
+    @pytest.mark.parametrize("a", range(7))
+    def test_every_typeb_value(self, a):
+        labels = tuple(bipartitions_of(a))
+        for klass in labels:
+            assert set(typeb_column(klass)) == set(labels)
+            for label in labels:
+                assert chi_typeb(label, klass) == chi_typeb_by_recursion(label, klass), (label, klass)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_sym_value(self, n):
+        for nu in partitions_of(n):
+            for lam in partitions_of(n):
+                expected = chi_typeb_by_recursion(Bipartition(lam, Partition()), Bipartition(nu, Partition()))
+                assert chi_sym(lam, nu) == expected, (lam, nu)
+
+    @pytest.mark.parametrize(
+        "label, klass",
+        [
+            (Bipartition.of((2, 1), (1,)), Bipartition.of((2,), (1,))),
+            (Bipartition.of((1,), ()), Bipartition.of((1,), (2, 1))),
+        ],
+        ids=["label-larger", "class-larger"],
+    )
+    def test_size_mismatch_message(self, label, klass):
+        with pytest.raises(ValueError) as oracle:
+            chi_typeb_by_recursion(label, klass)
+        with pytest.raises(ValueError) as fast:
+            chi_typeb(label, klass)
+        assert str(fast.value) == str(oracle.value) == f"size mismatch between label {label} and class {klass}"
 
 
 class TestClassSizes:
