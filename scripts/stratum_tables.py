@@ -37,8 +37,12 @@ def main() -> int:
         print(f"theta={theta}: degrees 0..{2 * theta}, dims {dims}")
 
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(documents, fh, indent=2)
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(documents, fh, indent=2)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(documents)} tables to {args.out}")
     return 0
 

@@ -8,7 +8,6 @@ dimensions are integer polynomials in q.
 from .errors import ExactDivisionError, RankCapError, VerificationError
 from .partitions import (
     Bipartition,
-    BetaSet,
     BorderStrip,
     CoreQuotient,
     Partition,
@@ -16,6 +15,7 @@ from .partitions import (
     bipartitions_of,
     border_strips,
     core_quotient,
+    from_beta_set,
     from_core_quotient,
     hook_lengths,
     partitions_of,

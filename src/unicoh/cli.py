@@ -137,6 +137,13 @@ def _check_cap(args, name: str, value: int, what: str) -> None:
         )
 
 
+def _reject_unread(args, *flags: str, when: str) -> None:
+    """Exit 2 on a flag that this run would otherwise ignore without a word."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_"), None) is not None:
+            raise CliError(f"--{flag} is not read {when}; drop it")
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -170,11 +177,13 @@ def cmd_table(args) -> Document:
     if args.group == "sym":
         if args.n is None:
             raise CliError("--n is required for --group sym")
+        _reject_unread(args, "a", "max-a", when="with --group sym")
         _check_cap(args, "n", args.n, "symmetric rank")
         table = wc.character_table_sym(args.n)
     else:
         if args.a is None:
             raise CliError("--a is required for --group b")
+        _reject_unread(args, "n", "max-n", when="with --group b")
         _check_cap(args, "a", args.a, "type-B rank")
         table = wc.character_table_typeb(args.a)
 
@@ -241,6 +250,7 @@ def cmd_reconstruct(args) -> Document:
 
 def cmd_label(args) -> Document:
     if args.lam is not None:
+        _reject_unread(args, "t", "alpha", "beta", when="with --lambda")
         lam = parse_partition(args.lam)
         sym = to_symbol(lam)
         text = f"symbol t={sym.t}, alpha {_compact(list(sym.alpha))}, beta {_compact(list(sym.beta))}"
@@ -391,6 +401,10 @@ def _foundation_checks() -> list[dl.CheckResult]:
 
 def cmd_verify(args) -> Document:
     checks: list[dl.CheckResult] = []
+    if args.theta is not None or args.k is not None:
+        for name, other in (("theta", "k"), ("k", "theta")):
+            if getattr(args, name) is None:
+                _reject_unread(args, f"max-{name}", when=f"when verify is given --{other} alone")
     if args.theta is not None:
         _check_cap(args, "theta", args.theta, "theta")
         checks.extend(dl.verify_stratum(args.theta).checks)

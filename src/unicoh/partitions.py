@@ -31,10 +31,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def rows(self) -> int:
-        return len(self)
-
     def transpose(self) -> "Partition":
         """Conjugate diagram (column lengths); an involution."""
         if not self:
@@ -75,23 +71,10 @@ class Bipartition(NamedTuple):
         return cls(Partition(first), Partition(second))
 
 
-class BetaSet(NamedTuple):
-    """First-column hook lengths beta_i = lambda_i + rows - i at a fixed row count."""
-
-    values: tuple[int, ...]
-    rows: int
-
-    def partition(self) -> Partition:
-        """Invert: lambda_i = beta_i + i - rows (1-indexed)."""
-        r = self.rows
-        return Partition(b + (i + 1) - r for i, b in enumerate(self.values))
-
-
 class BorderStrip(NamedTuple):
-    """A removable border strip: its size, height (rows spanned minus 1) and
-    the partition left after removal."""
+    """A removable border strip: its height (rows spanned minus 1) and the
+    partition left after removal."""
 
-    size: int
     height: int
     result: Partition
 
@@ -110,26 +93,27 @@ def staircase(t: int) -> Partition:
     return Partition(range(t, 0, -1))
 
 
-def beta_set(lam: Partition, rows: Optional[int] = None) -> BetaSet:
-    """Beta-set of lam at the given row count (default: number of nonzero parts)."""
+def beta_set(lam: Partition, rows: Optional[int] = None) -> tuple[int, ...]:
+    """Beta set of lam at the given row count (default: number of nonzero
+    parts): the strictly decreasing values beta_i = lambda_i + rows - i."""
     lam = Partition(lam)
     if rows is None:
         rows = len(lam)
     if rows < len(lam):
         raise ValueError(f"row count {rows} below number of parts {len(lam)}")
     padded = tuple(lam) + (0,) * (rows - len(lam))
-    return BetaSet(tuple(padded[i] + rows - (i + 1) for i in range(rows)), rows)
+    return tuple(p + rows - (i + 1) for i, p in enumerate(padded))
 
 
-def partition_from_beta_values(values: Iterable[int]) -> Partition:
-    """Rebuild a partition from strictly decreasing nonnegative beta values."""
+def from_beta_set(values: Iterable[int]) -> Partition:
+    """Invert beta_set: lambda_i = beta_i + i - len(values) (1-indexed).
+
+    Partition rejects values that are not strictly decreasing or that are
+    negative: lambda_i >= lambda_(i+1) exactly when beta_i > beta_(i+1), and
+    the last part is nonnegative exactly when the last value is.
+    """
     values = tuple(values)
-    for i in range(len(values) - 1):
-        if values[i] <= values[i + 1]:
-            raise ValueError(f"beta values must be strictly decreasing, got {values}")
-    if values and values[-1] < 0:
-        raise ValueError("beta values must be nonnegative")
-    return BetaSet(values, len(values)).partition()
+    return Partition(b + i + 1 - len(values) for i, b in enumerate(values))
 
 
 def hook_lengths(lam: Partition) -> tuple[tuple[int, ...], ...]:
@@ -157,43 +141,35 @@ def border_strips(lam: Partition, size: int) -> tuple[BorderStrip, ...]:
     lam = Partition(lam)
     if size <= 0:
         raise ValueError("strip size must be positive")
-    values = beta_set(lam).values
-    occupied = set(values)
+    values = beta_set(lam)
     strips = []
     for i, b in enumerate(values):
         target = b - size
-        if target < 0 or target in occupied:
+        if target < 0 or target in values:
             continue
         height = sum(1 for v in values if target < v < b)
-        moved = sorted((v for v in values if v != b), reverse=True)
-        pos = 0
-        while pos < len(moved) and moved[pos] > target:
-            pos += 1
-        moved.insert(pos, target)
-        strips.append(BorderStrip(size, height, BetaSet(tuple(moved), len(moved)).partition()))
+        moved = sorted(values[:i] + (target,) + values[i + 1 :], reverse=True)
+        strips.append(BorderStrip(height, from_beta_set(moved)))
     return tuple(strips)
 
 
 def two_core(lam: Partition) -> int:
-    """Staircase index t of the 2-core (see two_core_partition)."""
-    return len(two_core_partition(lam))
+    """Staircase index t of the 2-core, read off the 2-abacus.
 
-
-def two_core_partition(lam: Partition) -> Partition:
-    """The 2-core, read off the 2-abacus.
-
-    Removing a domino moves one beta value b to a free b - 2, so it moves a
-    bead down its runner of the 2-abacus (even or odd values) and never
-    changes how many beads each runner holds.  No domino is left exactly
-    when every bead sits at the bottom of its runner: the e even values are
-    0, 2, ..., 2(e - 1) and the o odd values 1, 3, ..., 2o - 1.  So the core
-    is rebuilt from the two counts alone, with no dominoes removed one by one.
+    Removing a domino moves one beta value b to a free b - 2: one bead down
+    its runner (even or odd values), so the bead count of each runner never
+    changes.  No domino is left exactly when every bead sits at the bottom of
+    its runner: the e even values are 0, 2, ..., 2(e - 1) and the o odd
+    values 1, 3, ..., 2o - 1.  Each part counts the free values below its
+    bead.  If e > o, the beads fill 0, ..., 2o and leave e - o - 1 gaps above
+    that block; if o >= e, they fill 0, ..., 2e - 1 and leave the odd beads
+    2e + 1, ..., 2o - 1.  So t = max(e - o - 1, o - e), with no domino
+    removed one by one.
     """
-    values = beta_set(lam).values
+    values = beta_set(lam)
     evens = sum(1 for b in values if b % 2 == 0)
     odds = len(values) - evens
-    slid = sorted([2 * i for i in range(evens)] + [2 * i + 1 for i in range(odds)], reverse=True)
-    return partition_from_beta_values(slid)
+    return max(evens - odds - 1, odds - evens)
 
 
 def two_quotient(lam: Partition, rows: Optional[int] = None) -> Bipartition:
@@ -205,11 +181,9 @@ def two_quotient(lam: Partition, rows: Optional[int] = None) -> Bipartition:
     lam = Partition(lam)
     if rows is None:
         rows = len(lam)
-    values = beta_set(lam, rows).values
-    halved_even = tuple(b // 2 for b in values if b % 2 == 0)
-    halved_odd = tuple((b - 1) // 2 for b in values if b % 2 == 1)
-    mu0 = partition_from_beta_values(halved_even)
-    mu1 = partition_from_beta_values(halved_odd)
+    values = beta_set(lam, rows)
+    mu0 = from_beta_set(b // 2 for b in values if b % 2 == 0)
+    mu1 = from_beta_set(b // 2 for b in values if b % 2 == 1)
     if rows % 2 == 1:
         return Bipartition(mu0, mu1)
     return Bipartition(mu1, mu0)
@@ -231,13 +205,13 @@ def from_core_quotient(t: int, quotient: Bipartition) -> Partition:
         raise ValueError("core index must be nonnegative")
     first, second = Partition(quotient[0]), Partition(quotient[1])
     rows = 2 * (t + len(first) + len(second) + 1) + 1
-    core_values = beta_set(staircase(t), rows).values
+    core_values = beta_set(staircase(t), rows)
     n_even = sum(1 for b in core_values if b % 2 == 0)
     n_odd = rows - n_even
-    b0 = beta_set(first, n_even).values
-    b1 = beta_set(second, n_odd).values
+    b0 = beta_set(first, n_even)
+    b1 = beta_set(second, n_odd)
     merged = sorted([2 * b for b in b0] + [2 * b + 1 for b in b1], reverse=True)
-    lam = BetaSet(tuple(merged), rows).partition()
+    lam = from_beta_set(merged)
     if lam.size != t * (t + 1) // 2 + 2 * (first.size + second.size):  # forced by the construction
         raise VerificationError(f"reconstructed {tuple(lam)} has the wrong size for t={t}")
     return lam

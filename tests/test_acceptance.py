@@ -78,7 +78,7 @@ def test_criterion_02_typeb_character_value():
 def test_criterion_03_beta_set_core_quotient_translation():
     budget = Budget(5.0)
     lam = Partition((3, 3, 2, 2, 1))
-    assert beta_set(lam, 5).values == (7, 6, 4, 3, 1)
+    assert beta_set(lam, 5) == (7, 6, 4, 3, 1)
     assert two_core(lam) == 1
     assert two_quotient(lam) == Bipartition.of((2, 2), (1,))
     sym = to_symbol(lam)

@@ -521,6 +521,32 @@ class TestCaps:
         assert info.value.code == 2
         assert "unrecognized arguments: --max-" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("table", "--group", "b", "--a", "2", "--max-n", "20"), "--max-n"),
+            (("table", "--group", "b", "--a", "2", "--n", "3"), "--n"),
+            (("table", "--group", "sym", "--n", "2", "--a", "9", "--max-a", "50"), "--a"),
+            (("table", "--group", "sym", "--n", "2", "--max-a", "50"), "--max-a"),
+            (("verify", "--theta", "2", "--max-k", "20"), "--max-k"),
+            (("verify", "--k", "2", "--max-theta", "30"), "--max-theta"),
+            (("label", "--lambda", "2,1", "--t", "5", "--alpha", "9"), "--t"),
+            (("label", "--lambda", "2,1", "--beta", "1"), "--beta"),
+        ],
+    )
+    def test_flag_the_run_does_not_read_is_usage_error(self, capsys, argv, flag):
+        status, out, err = run(capsys, *argv)
+        assert status == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} is not read ")
+        assert err.endswith("; drop it\n")
+
+    def test_verify_reads_both_caps_with_both_flags(self, capsys):
+        argv = ("verify", "--theta", "1", "--k", "1", "--max-theta", "1", "--max-k", "1")
+        status, _, err = run(capsys, *argv)
+        assert status == 0
+        assert err == ""
+
     @pytest.mark.parametrize("argv,name", CHEAP)
     def test_quiet_silences_raised_cap(self, capsys, argv, name):
         status, _, err = run(capsys, *argv, f"--max-{name}", str(cli.CAPS[name] + 1), "-q")

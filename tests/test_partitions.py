@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicoh import (
-    BetaSet,
     Bipartition,
     Partition,
     VerificationError,
     beta_set,
     border_strips,
     core_quotient,
+    from_beta_set,
     from_core_quotient,
     hook_lengths,
     partitions_of,
@@ -20,7 +20,6 @@ from unicoh import (
     two_core,
     two_quotient,
 )
-from unicoh.partitions import partition_from_beta_values, two_core_partition
 
 from oracles import domino_peeling_core, geometric_border_strips, partition_parts_by_loop
 from strategies import partitions, partitions_up_to
@@ -43,7 +42,7 @@ class TestPartitionType:
     def test_size_and_rows(self):
         lam = Partition((3, 3, 2, 2, 1))
         assert lam.size == 11
-        assert lam.rows == 5
+        assert len(lam) == 5
 
     def test_transpose_examples(self):
         assert Partition((3, 1)).transpose() == (2, 1, 1)
@@ -120,13 +119,13 @@ class TestPartitionValidationOracle:
 
 class TestBetaSet:
     def test_worked_example(self):
-        assert beta_set(Partition((3, 3, 2, 2, 1)), 5).values == (7, 6, 4, 3, 1)
+        assert beta_set(Partition((3, 3, 2, 2, 1)), 5) == (7, 6, 4, 3, 1)
 
     def test_empty_partition(self):
-        assert beta_set(Partition(), 3).values == (2, 1, 0)
+        assert beta_set(Partition(), 3) == (2, 1, 0)
 
     def test_padded_row_count(self):
-        assert beta_set(Partition((3, 3, 2, 2, 1)), 6).values == (8, 7, 5, 4, 2, 0)
+        assert beta_set(Partition((3, 3, 2, 2, 1)), 6) == (8, 7, 5, 4, 2, 0)
 
     def test_row_count_too_small(self):
         with pytest.raises(ValueError):
@@ -134,14 +133,18 @@ class TestBetaSet:
 
     @given(partitions(), st.integers(min_value=0, max_value=5))
     def test_round_trip(self, lam, extra):
-        bs = beta_set(lam, lam.rows + extra)
-        assert bs.values == tuple(sorted(bs.values, reverse=True))
-        assert len(set(bs.values)) == len(bs.values)
-        assert bs.partition() == lam
+        bs = beta_set(lam, len(lam) + extra)
+        assert bs == tuple(sorted(bs, reverse=True))
+        assert len(set(bs)) == len(bs)
+        assert from_beta_set(bs) == lam
 
     def test_partition_from_beta_values_validates(self):
         with pytest.raises(ValueError):
-            partition_from_beta_values((3, 3))
+            from_beta_set((3, 3))
+
+    def test_from_beta_set_rejects_negative_value(self):
+        with pytest.raises(ValueError):
+            from_beta_set((1, -1))
 
 
 class TestHooks:
@@ -255,7 +258,7 @@ class TestCoreQuotient:
 
     @given(partitions(), st.integers(min_value=0, max_value=4))
     def test_quotient_padding_invariance(self, lam, extra):
-        assert two_quotient(lam, lam.rows + extra) == two_quotient(lam)
+        assert two_quotient(lam, len(lam) + extra) == two_quotient(lam)
 
     def test_reconstruct_worked_example(self):
         assert from_core_quotient(1, Bipartition.of((2, 2), (1,))) == (3, 3, 2, 2, 1)
@@ -282,17 +285,12 @@ class TestCoreQuotient:
             t = cq.core_index
             assert lam.size == t * (t + 1) // 2 + 2 * cq.quotient.size
 
-    def test_core_partition_is_staircase(self):
-        for n in range(0, 11):
-            for lam in partitions_of(n):
-                assert two_core_partition(lam) == staircase(two_core(lam))
-
     def test_size_guard_survives_python_O(self, monkeypatch):
         # the size identity is forced by the construction; if the beta-set
         # step is broken it must raise, not pass silently under -O
         from unicoh import partitions
 
-        monkeypatch.setattr(partitions.BetaSet, "partition", lambda self: Partition((1,)))
+        monkeypatch.setattr(partitions, "from_beta_set", lambda values: Partition((1,)))
         with pytest.raises(VerificationError):
             from_core_quotient(1, Bipartition.of((2,), ()))
 
@@ -301,12 +299,12 @@ class TestAbacusCoreMatchesDominoPeeling:
     def test_exhaustive(self):
         for n in range(19):
             for lam in partitions_of(n):
-                assert two_core_partition(lam) == domino_peeling_core(lam)
+                assert staircase(two_core(lam)) == domino_peeling_core(lam)
 
     @given(partitions_up_to(30))
     @settings(max_examples=60, deadline=None)
     def test_property(self, lam):
-        assert two_core_partition(lam) == domino_peeling_core(lam)
+        assert staircase(two_core(lam)) == domino_peeling_core(lam)
 
 
 class TestDominoOrderIndependence:
@@ -331,8 +329,3 @@ class TestEnumeration:
     def test_partition_counts(self):
         counts = [len(list(partitions_of(n))) for n in range(11)]
         assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-
-    def test_beta_set_type(self):
-        bs = beta_set(Partition((2, 1)))
-        assert isinstance(bs, BetaSet)
-        assert bs.rows == 2

@@ -78,6 +78,14 @@ def test_stratum_tables_negative_cap_is_usage_error():
     assert "--max-theta must be nonnegative" in proc.stderr
 
 
+def test_stratum_tables_unwritable_out_is_usage_error(tmp_path):
+    out = tmp_path / "missing" / "tables.json"
+    proc = run_script("stratum_tables.py", "--max-theta", "0", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {out}: No such file or directory\n"
+    assert "Traceback" not in proc.stderr
+
+
 def test_stratum_tables_export_gate_fails_loudly(tmp_path, monkeypatch, capsys):
     # a disagreement between the engine and the closed formula must reach
     # verify_stratum's check and exit 1 with the mismatch printed, also
