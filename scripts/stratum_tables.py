@@ -10,10 +10,32 @@ labels and exact dimension polynomials.  Example:
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from unicoh import closed_stratum_cohomology, verify_stratum
+
+
+def unwritable_reason(path: str) -> str | None:
+    """Why opening `path` for writing would fail, found without creating it,
+    so a bad --out fails before any table is built."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.exists(parent):
+        return os.strerror(errno.ENOENT)
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR)
+    if not os.access(parent, os.W_OK | os.X_OK):
+        return os.strerror(errno.EACCES)
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    return None
+
+
+def cannot_write(path: str, reason: str) -> int:
+    print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+    return 2
 
 
 def main() -> int:
@@ -23,6 +45,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.max_theta < 0:
         parser.error("--max-theta must be nonnegative")
+    reason = args.out and unwritable_reason(args.out)
+    if reason:
+        return cannot_write(args.out, reason)
 
     documents = []
     for theta in range(args.max_theta + 1):
@@ -41,8 +66,7 @@ def main() -> int:
             with open(args.out, "w") as fh:
                 json.dump(documents, fh, indent=2)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
+            return cannot_write(args.out, exc.strerror or exc)
         print(f"wrote {len(documents)} tables to {args.out}")
     return 0
 

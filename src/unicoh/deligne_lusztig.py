@@ -25,7 +25,7 @@ from .errors import VerificationError
 from . import harish_chandra as hc
 from .harish_chandra import RepMultiset
 from .partitions import Partition
-from .polynomial import IntPolynomial, prod, q_minus_sign
+from .polynomial import IntPolynomial, linear_combination, prod, q_minus_sign
 from .unipotent import SymbolLabel, from_symbol, symbol_degree, to_symbol
 
 
@@ -81,11 +81,9 @@ class CohomologyTable:
         return out
 
     def euler_characteristic(self) -> IntPolynomial:
-        total = IntPolynomial.zero()
-        for e in self.entries:
-            term = e.constituents.dimension_poly()
-            total = total + term if e.degree % 2 == 0 else total - term
-        return total
+        return linear_combination(
+            ((-1) ** (e.degree % 2), e.constituents.dimension_poly()) for e in self.entries
+        )
 
     def to_json(self) -> dict:
         return {
@@ -415,10 +413,11 @@ def verify_stratum(theta: int) -> StratumVerification:
 
     def euler_check():
         lhs = table.euler_characteristic()
-        rhs = IntPolynomial.zero()
-        for a in range(2 * theta + 1):
-            for theta_prime, dim in enumerate(chain_dims(a), start=(a + 1) // 2):
-                rhs = rhs + dim if (theta_prime + a // 2) % 2 == 0 else rhs - dim
+        rhs = linear_combination(
+            ((-1) ** (theta_prime + a // 2), dim)
+            for a in range(2 * theta + 1)
+            for theta_prime, dim in enumerate(chain_dims(a), start=(a + 1) // 2)
+        )
         if lhs != rhs:
             return [f"stratum {lhs} != sum over pieces {rhs}"]
         return []
@@ -426,9 +425,7 @@ def verify_stratum(theta: int) -> StratumVerification:
     def alternating_sum_check():
         failures = []
         for a in range(2 * theta + 1):
-            alt = IntPolynomial.zero()
-            for j, dim in enumerate(chain_dims(a)):
-                alt = alt + dim if j % 2 == 0 else alt - dim
+            alt = linear_combination(((-1) ** j, dim) for j, dim in enumerate(chain_dims(a)))
             target = table.eigenspace(a, a).dimension_poly()
             if alt != target:
                 failures.append(f"exponent {a}: {alt} != {target}")

