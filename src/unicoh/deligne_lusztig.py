@@ -25,8 +25,8 @@ from .errors import VerificationError
 from . import harish_chandra as hc
 from .harish_chandra import RepMultiset
 from .partitions import Partition
-from .polynomial import IntPolynomial, linear_combination, prod, q_minus_sign
-from .unipotent import SymbolLabel, from_symbol, symbol_degree, to_symbol
+from .polynomial import IntPolynomial, linear_combination, prod, q_minus_sign, two_term_ratio
+from .unipotent import SymbolLabel, _hooks_flat, a_exponent, from_symbol, symbol_degree, to_symbol
 
 
 def tate_twist(exponent: int) -> int:
@@ -216,6 +216,29 @@ def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:
     return via_pieri
 
 
+@cache
+def stratum_term_dimension(theta: int, theta_prime: int, a: int) -> IntPolynomial:
+    """Dimension of stratum_term(theta, theta_prime, a) as a Harish-Chandra index.
+
+    The term is R_L^G(rho) for G = U_{2theta+1}(q), the Levi
+    L = U_{2theta'+1}(q) x GL_{theta-theta'}(q^2) and rho the Coxeter hook
+    label tensored with the trivial one, so its dimension is
+    [G:P] * deg(rho) (Carter, Finite Groups of Lie Type, 1985):
+    q**a(hook) * prod_{j<=2theta+1} (q**j - (-1)**j) over the hook factors
+    of coxeter_hook(theta', a) and the GL factors q**(2j) - 1, j <= theta - theta'.
+
+    Memoised on the three integers: it reads no first-page label, so it
+    cannot hold a value computed from a faulty label.
+    """
+    _check_stratum_args(theta, theta_prime)
+    hook = coxeter_hook(theta_prime, a)
+    gl_factors = [2 * j for j in range(1, theta - theta_prime + 1)]
+    return two_term_ratio(
+        range(1, 2 * theta + 2), _hooks_flat(hook) + gl_factors, -1, a_exponent(hook),
+        f"index form of (theta={theta}, theta'={theta_prime}, a={a})",
+    )
+
+
 def eo_stratum_cohomology(theta: int, theta_prime: int) -> CohomologyTable:
     """Cohomology of one Ekedahl-Oort stratum, supported in degrees
     theta_prime..2*theta_prime with two eigenspaces per degree below the top."""
@@ -358,10 +381,13 @@ def verify_stratum(theta: int) -> StratumVerification:
     equals the degree, (4) Euler characteristics add up over the strata,
     (5) per-exponent alternating dimension sums telescope to the answer.
     All dimension identities are exact polynomial identities in q.  Each call
-    builds the first page once, as its eigenvalue chains (one `stratum_term`
-    call per cell), and assembles the table from them once; all checks read
-    these, the two dimension checks sum each cell's dimension at most once,
-    and nothing is kept between calls.  Any exception while building the
+    builds the table once, by `stratum_cohomology` (one `stratum_term` call
+    per cell, one eigenvalue chain held at a time).  The right-hand sides of
+    (4) and (5) are the cells' Harish-Chandra index forms
+    (`stratum_term_dimension`, computed once per (theta, theta', a) per
+    process), which read no first-page label; their left-hand sides sum the
+    generic degrees of the surviving labels only.  Stratum terms, chains and
+    tables are not kept between calls.  Any exception while building the
     table or the closed formula fails all five checks with its message as
     details; one raised inside a check fails only that check.
     """
@@ -372,14 +398,12 @@ def verify_stratum(theta: int) -> StratumVerification:
     build_failure: list[str] = []
     try:
         closed = closed_stratum_cohomology(theta)
-        chains = [_eigen_chain(theta, a) for a in range(2 * theta + 1)]
-        table = _table_from_chains(theta, chains.__getitem__)
+        table = stratum_cohomology(theta)
     except Exception as exc:
         build_failure = [str(exc)]
 
-    @cache
     def chain_dims(a: int) -> list[IntPolynomial]:
-        return [term.dimension_poly() for term in chains[a]]
+        return [stratum_term_dimension(theta, tp, a) for tp in range((a + 1) // 2, theta + 1)]
 
     def run(name, body):
         try:

@@ -7,12 +7,16 @@ nonzero remainder raises rather than silently passing to rationals.
 Every dimension sum in the library (a multiset's generic degrees, Euler
 characteristics, alternating sums along an eigenvalue chain) is one
 `linear_combination`: column sums over the coefficient lists, one polynomial
-built at the end.  The ring operators are the reference arithmetic of the
-test oracles and of the Coxeter closed form.
+built at the end.  Every generic degree and every Harish-Chandra index of
+a stratum term is one `two_term_ratio`: a quotient of products of two-term
+factors q**j - s**j, built by one-pass steps on a single coefficient list.
+The ring operators are the reference arithmetic of the test oracles and of
+the Coxeter closed form.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -209,6 +213,46 @@ def linear_combination(terms: Iterable[tuple[int, IntPolynomial]]) -> IntPolynom
     coefficient list (scaled only when c != 1) build a single polynomial."""
     rows = [p.coeffs if c == 1 else [c * x for x in p.coeffs] for c, p in terms]
     return IntPolynomial(map(sum, zip_longest(*rows, fillvalue=0)))
+
+
+def two_term_ratio(
+    numerator: Iterable[int], denominator: Iterable[int], sign: int, shift: int, what: str
+) -> IntPolynomial:
+    """q**shift * prod_{j in numerator} (q**j - sign**j) / prod_{h in denominator} (q**h - sign**h),
+    over two multisets of exponents.
+
+    Factors common to the two multisets cancel first.  The rest are two-term
+    polynomials, so each multiplication and each exact division is one pass
+    over a single coefficient list (lowest power first); a nonzero remainder
+    or a quotient of negative degree raises ExactDivisionError, whose message
+    starts with `what` (the quantity being computed).
+    """
+    numerator, denominator = Counter(numerator), Counter(denominator)
+    coeffs = [1]
+    for j in (numerator - denominator).elements():
+        e = sign**j
+        product = [0] * j + coeffs
+        for k, c in enumerate(coeffs):
+            product[k] -= e * c
+        coeffs = product
+    for h in (denominator - numerator).elements():
+        e = sign**h
+        # coeffs = quot * (q**h - e): top-down, quot[m] = coeffs[m + h] + e * quot[m + h]
+        quot = coeffs[h:]
+        if not quot:
+            raise ExactDivisionError(
+                f"{what} not polynomial: degree {len(coeffs) - 1} below hook factor q^{h}"
+            )
+        for m in range(len(quot) - 1 - h, -1, -1):
+            quot[m] += e * quot[m + h]
+        remainder = [coeffs[k] + e * (quot[k] if k < len(quot) else 0) for k in range(h)]
+        if any(remainder):
+            raise ExactDivisionError(
+                f"{what} not polynomial: "
+                f"nonzero remainder {IntPolynomial(remainder)} dividing by {IntPolynomial.q_power(h) - e}"
+            )
+        coeffs = quot
+    return IntPolynomial([0] * shift + coeffs)
 
 
 def q_minus_sign(j: int) -> IntPolynomial:

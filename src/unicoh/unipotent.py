@@ -5,19 +5,17 @@ group) by a symbol triple (t, alpha, beta) recording the cuspidal support
 staircase(t) and a bipartition.  Generic degrees are exact integer
 polynomials in q produced by the hook formulas, q**a(lam) times
 prod (q**j - e**j) over j <= n divided by prod (q**h - e**h) over the hook
-lengths h, with e = -1 for U and e = 1 for GL.  After the factors shared by
-the two products cancel, every remaining factor has two terms, so the
-degree is built by one-pass multiply and exact-divide steps on a single
-coefficient list; any nonzero remainder is a bug and raises.
+lengths h, with e = -1 for U and e = 1 for GL.  `polynomial.two_term_ratio`
+cancels the factors shared by the two products and builds the rest by
+one-pass multiply and exact-divide steps; any nonzero remainder is a bug
+and raises.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
-from .errors import ExactDivisionError
 from .partitions import (
     Bipartition,
     Partition,
@@ -27,7 +25,7 @@ from .partitions import (
     two_core,
     two_quotient,
 )
-from .polynomial import IntPolynomial
+from .polynomial import IntPolynomial, two_term_ratio
 
 
 def a_exponent(lam: Partition) -> int:
@@ -40,43 +38,13 @@ def _hooks_flat(lam: Partition) -> list[int]:
 
 
 def _hook_degree(lam: Partition, sign: int) -> IntPolynomial:
-    """q**a(lam) * prod_{j<=n} (q**j - sign**j) / prod_{hooks h} (q**h - sign**h).
-
-    Factors common to {1..n} and the hook lengths cancel first.  The rest
-    are two-term polynomials, so each multiplication and each exact
-    division is one pass over a single coefficient list (lowest power
-    first); a nonzero remainder or a quotient of negative degree raises.
-    """
+    """q**a(lam) * prod_{j<=n} (q**j - sign**j) / prod_{hooks h} (q**h - sign**h)."""
     lam = Partition(lam)
     group = "U" if sign < 0 else "GL"
-    numerator = Counter(range(1, lam.size + 1))
-    hooks = Counter(_hooks_flat(lam))
-    coeffs = [1]
-    for j in (numerator - hooks).elements():
-        e = sign**j
-        product = [0] * j + coeffs
-        for k, c in enumerate(coeffs):
-            product[k] -= e * c
-        coeffs = product
-    for h in (hooks - numerator).elements():
-        e = sign**h
-        # coeffs = quot * (q**h - e): top-down, quot[m] = coeffs[m + h] + e * quot[m + h]
-        quot = coeffs[h:]
-        if not quot:
-            raise ExactDivisionError(
-                f"{group} degree of {tuple(lam)} not polynomial: "
-                f"degree {len(coeffs) - 1} below hook factor q^{h}"
-            )
-        for m in range(len(quot) - 1 - h, -1, -1):
-            quot[m] += e * quot[m + h]
-        remainder = [coeffs[k] + e * (quot[k] if k < len(quot) else 0) for k in range(h)]
-        if any(remainder):
-            raise ExactDivisionError(
-                f"{group} degree of {tuple(lam)} not polynomial: "
-                f"nonzero remainder {IntPolynomial(remainder)} dividing by {IntPolynomial.q_power(h) - e}"
-            )
-        coeffs = quot
-    return IntPolynomial([0] * a_exponent(lam) + coeffs)
+    return two_term_ratio(
+        range(1, lam.size + 1), _hooks_flat(lam), sign, a_exponent(lam),
+        f"{group} degree of {tuple(lam)}",
+    )
 
 
 @cache

@@ -241,11 +241,16 @@ class TestFirstPageOncePerCall:
             return original(self)
 
         monkeypatch.setattr(RepMultiset, "dimension_poly", counting)
+        dl.stratum_term_dimension.cache_clear()
         assert verify_stratum(4).ok
+        # every cell's dimension comes from its index form, computed once
+        assert dl.stratum_term_dimension.cache_info().misses == len(calls) == 25
         counts = {cell: summed.count(id(term)) for cell, term in calls}
-        # a one-term chain (exponents 7 and 8 here) passes its term through as
-        # the table entry, which the checks also sum as part of the table
-        assert all(n == 1 for (_, a), n in counts.items() if a < 7)
+        # no first-page term is summed, except that a one-term chain
+        # (exponents 7 and 8 here) passes its term through as the table
+        # entry, summed once for the Euler characteristic and once as the head
+        assert all(n == 0 for (_, a), n in counts.items() if a < 7)
+        assert counts[4, 7] == counts[4, 8] == 2
 
     def test_page_is_scoped_to_the_call(self):
         original = dl.stratum_term
@@ -328,8 +333,8 @@ class TestFirstPageOncePerCall:
 
     @pytest.mark.parametrize("theta", range(0, 9))
     def test_readers_agree_with_and_without_page(self, theta):
-        # the whole first page held as chains (as verify_stratum holds it) or
-        # built one chain at a time (as stratum_cohomology does) gives one
+        # the whole first page held as chains or built one chain at a time
+        # (as stratum_cohomology and verify_stratum do) gives one
         # table, and the stratum columns read the same cells
         chains = [dl._eigen_chain(theta, a) for a in range(2 * theta + 1)]
         assert dl._table_from_chains(theta, chains.__getitem__) == stratum_cohomology(theta)
@@ -359,27 +364,79 @@ class TestFirstPageOncePerCall:
     # (a + 1) // 2 to 3) has at least two terms: exponents a <= 4
     LONG_CHAIN_CELLS = [(tp, a) for a in range(5) for tp in range((a + 1) // 2, 4)]
 
+    DIMENSION_CHECKS = [
+        "euler-characteristic-additivity (theta=3)",
+        "eigenvalue-alternating-sums (theta=3)",
+    ]
+
     @pytest.mark.parametrize("cell", LONG_CHAIN_CELLS)
     def test_heavier_cell_fails_the_dimension_checks(self, monkeypatch, cell):
-        # the same constituents with one more unit of dimension: only the two
-        # checks that sum every first-page cell can see it
+        # one more unit of dimension in the cell's Harish-Chandra index form,
+        # which both dimension checks sum with the sign of the cell
+        original = dl.stratum_term_dimension
+
+        def heavier(theta, theta_prime, a):
+            dim = original(theta, theta_prime, a)
+            return dim + IntPolynomial.one() if (theta_prime, a) == cell else dim
+
+        monkeypatch.setattr(dl, "stratum_term_dimension", heavier)
+        self.assert_dimension_checks_fail(verify_stratum(3))
+
+    def assert_dimension_checks_fail(self, report):
+        # exactly the two dimension checks fail, each on a comparison
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == self.DIMENSION_CHECKS
+        assert all(" != " in c.details for c in failed)
+
+    def test_heavier_multisets_fail_the_dimension_checks(self, monkeypatch):
+        # the same constituents with one more unit of dimension
+        original_dim = RepMultiset.dimension_poly
+
+        def heavier_dim(self):
+            return original_dim(self) + IntPolynomial.one()
+
         class Heavier(RepMultiset):
             __slots__ = ()
+            dimension_poly = heavier_dim
 
-            def dimension_poly(self):
-                return super().dimension_poly() + IntPolynomial.one()
-
+        # on first-page terms with a successor: no check sums them
         original = dl.stratum_term
 
         def heavier(theta, theta_prime, a):
             term = original(theta, theta_prime, a)
-            return Heavier(term.counts) if (theta_prime, a) == cell else term
+            return Heavier(term.counts) if (theta_prime, a) in self.LONG_CHAIN_CELLS else term
 
         monkeypatch.setattr(dl, "stratum_term", heavier)
-        failed = [c.name for c in verify_stratum(3).checks if not c.passed]
+        assert verify_stratum(3).ok
+        # on every multiset: the table's Euler characteristic and each head
+        monkeypatch.setattr(RepMultiset, "dimension_poly", heavier_dim)
+        self.assert_dimension_checks_fail(verify_stratum(3))
+
+    def test_index_form_failure_fails_the_dimension_checks(self, monkeypatch):
+        # wrong hook lengths for the Coxeter hook of (theta', a) = (1, 1):
+        # (q + 1)(q^3 + 1) / (q^2 - 1)^2 after cancellation
+        original = dl._hooks_flat
+
+        def wrong(lam):
+            return [2, 2, 2] if lam == coxeter_hook(1, 1) else original(lam)
+
+        monkeypatch.setattr(dl, "_hooks_flat", wrong)
+        message = (
+            "index form of (theta=1, theta'=1, a=1) not polynomial: "
+            "nonzero remainder 2*q + 2 dividing by q^2 - 1"
+        )
+        with pytest.raises(ExactDivisionError) as info:
+            dl.stratum_term_dimension.__wrapped__(1, 1, 1)
+        assert str(info.value) == message
+        dl.stratum_term_dimension.cache_clear()
+        try:
+            report = verify_stratum(1)
+        finally:
+            dl.stratum_term_dimension.cache_clear()
+        failed = [(c.name, c.details) for c in report.checks if not c.passed]
         assert failed == [
-            "euler-characteristic-additivity (theta=3)",
-            "eigenvalue-alternating-sums (theta=3)",
+            ("euler-characteristic-additivity (theta=1)", message),
+            ("eigenvalue-alternating-sums (theta=1)", message),
         ]
 
 

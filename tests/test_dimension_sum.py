@@ -5,8 +5,8 @@ coefficients; `dimension_by_reduce` (tests/oracles.py) is the polynomial-
 arithmetic form it replaced.  `from_symbol` is memoised per label; the
 fault test shows a wrong translation reaches the output once its cache is
 cleared.  The Harish-Chandra index identity gives each stratum term's
-dimension by a path that shares no code with the label translation, and
-fails under that same fault.
+dimension by a path that shares no code with the label translation;
+`verify_stratum` checks against it, so it fails under that same fault.
 """
 
 from collections import defaultdict
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicoh import (
+    IntPolynomial,
     Partition,
     coxeter_cohomology,
     coxeter_hook,
@@ -28,7 +29,7 @@ from unicoh import deligne_lusztig as dl
 from unicoh import unipotent
 from unicoh.cli import main
 from unicoh.harish_chandra import RepMultiset
-from oracles import dimension_by_reduce, hc_index_dimension
+from oracles import dimension_by_reduce, hc_index_dimension, hook_formula_degree
 from strategies import partitions_up_to
 
 
@@ -116,10 +117,8 @@ class TestFromSymbolCacheFault:
         assert unipotent.from_symbol(to_symbol(target)) == target.transpose()
         faulty = _stratum_json(capsys)
         assert faulty != clean
-        # verify_stratum(3) still passes: its dimension checks are identities
-        # between label multisets, which a wrong degree for one label cannot
-        # break; the Coxeter dimension check compares the degree of (7) with
-        # its closed form
+        # the Coxeter dimension check compares the degree of (7) with its
+        # closed form
         assert main(["verify", "--k", "3", "-q"]) == 1
 
 
@@ -140,8 +139,7 @@ class TestHarishChandraIndex:
         assert _index_mismatches(theta) == []
 
     def test_wrong_translation_breaks_the_identity(self, monkeypatch, label_cache):
-        # the from_core_quotient fault of TestFromSymbolCacheFault, which
-        # verify_stratum(3) cannot see
+        # the from_core_quotient fault of TestFromSymbolCacheFault
         original = unipotent.from_core_quotient
         target = Partition((7,))
 
@@ -151,5 +149,74 @@ class TestHarishChandraIndex:
 
         monkeypatch.setattr(unipotent, "from_core_quotient", broken)
         label_cache()
-        assert dl.verify_stratum(3).ok
+        failed = [c.name for c in dl.verify_stratum(3).checks if not c.passed]
+        assert failed == _dimension_checks(3)
         assert (3, 6) in _index_mismatches(3)
+
+
+def _dimension_checks(theta: int) -> list[str]:
+    """The names of verify_stratum's two dimension checks at theta."""
+    return [
+        f"euler-characteristic-additivity (theta={theta})",
+        f"eigenvalue-alternating-sums (theta={theta})",
+    ]
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the degree, translation and index-form caches before and after
+    the test, so that no value computed under an injected fault is read
+    before it or leaks into later tests."""
+    caches = (unipotent.degree_u, unipotent.from_symbol, dl.stratum_term_dimension)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+class TestIndexFormSeesLabelFaults:
+    """Faults in the label -> degree map fail verify_stratum's Euler and
+    alternating-sum checks, which compare the surviving labels' degrees
+    with index forms that read no label."""
+
+    def assert_dimension_checks_fail(self, report):
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == _dimension_checks(report.theta)
+        assert all(" != " in c.details for c in failed)
+
+    def test_every_u_degree_rescaled(self, monkeypatch, cold_caches):
+        original = unipotent.degree_u
+        q = IntPolynomial.q_power(1)
+        monkeypatch.setattr(unipotent, "degree_u", lambda lam: q * original(lam) + 7)
+        self.assert_dimension_checks_fail(dl.verify_stratum(4))
+
+    def test_transposed_translation(self, monkeypatch, cold_caches):
+        original = unipotent.from_core_quotient
+        target = Partition((7,))
+
+        def broken(t, quotient):
+            lam = original(t, quotient)
+            return lam.transpose() if lam == target else lam
+
+        monkeypatch.setattr(unipotent, "from_core_quotient", broken)
+        self.assert_dimension_checks_fail(dl.verify_stratum(3))
+
+
+class TestIndexFormOracle:
+    """The engine's index form (`stratum_term_dimension`, one two-term pass)
+    against the dense oracles and against the sum over the cell's labels:
+    the slow path it gets in place of a per-cell guard in verify_stratum."""
+
+    @pytest.mark.parametrize("theta", range(11))
+    def test_dense_index_times_hook_formula(self, theta):
+        index = [hc_index_dimension(theta, tp) for tp in range(theta + 1)]
+        for tp, a in _cells(theta):
+            dense = index[tp] * hook_formula_degree(coxeter_hook(tp, a), "u")
+            assert dl.stratum_term_dimension(theta, tp, a) == dense, (theta, tp, a)
+
+    @pytest.mark.parametrize("theta", range(13))
+    def test_label_sum(self, theta):
+        for tp, a in _cells(theta):
+            labels = stratum_term(theta, tp, a).dimension_poly()
+            assert dl.stratum_term_dimension(theta, tp, a) == labels, (theta, tp, a)

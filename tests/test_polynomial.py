@@ -7,7 +7,7 @@ from hypothesis import example, strategies as st
 
 from unicoh import ExactDivisionError, IntPolynomial
 from unicoh.polynomial import prod, q_minus_one, q_minus_sign
-from unicoh.polynomial import linear_combination
+from unicoh.polynomial import linear_combination, two_term_ratio
 
 from strategies import int_polys
 
@@ -123,3 +123,24 @@ def test_linear_combination_matches_running_sum(terms):
     running = reduce(lambda acc, term: acc + term[0] * term[1], terms, IntPolynomial.zero())
     assert linear_combination(terms) == running
     assert linear_combination(iter(terms)) == running
+
+
+@pytest.mark.parametrize("sign, factor", [(-1, q_minus_sign), (1, q_minus_one)])
+def test_two_term_ratio_cancels_then_divides(sign, factor):
+    assert two_term_ratio((), (), sign, 3, "q^3") == IntPolynomial.q_power(3)
+    # {1, 2, 3, 4, 4} over {1, 2, 2}: (q^3 - s^3)(q^4 - s^4)^2 / (q^2 - s^2)
+    ratio = two_term_ratio([1, 2, 3, 4, 4], [2, 1, 2], sign, 2, "test ratio")
+    expected = IntPolynomial.q_power(2) * factor(3) * factor(4) * factor(4)
+    assert ratio == expected.exact_div(factor(2))
+
+
+@pytest.mark.parametrize("numerator, denominator, sign, message", [
+    ([1], [2], -1, "what not polynomial: degree 1 below hook factor q^2"),
+    ([1], [2], 1, "what not polynomial: degree 1 below hook factor q^2"),
+    ([3], [2], -1, "what not polynomial: nonzero remainder q + 1 dividing by q^2 - 1"),
+    ([3], [2], 1, "what not polynomial: nonzero remainder q - 1 dividing by q^2 - 1"),
+])
+def test_two_term_ratio_not_divisible_raises(numerator, denominator, sign, message):
+    with pytest.raises(ExactDivisionError) as info:
+        two_term_ratio(numerator, denominator, sign, 0, "what")
+    assert str(info.value) == message

@@ -123,6 +123,26 @@ class TestDegrees:
                 degree.__wrapped__(Partition((2, 1)))
             assert "(2, 1)" in str(info.value)
 
+    def test_wrong_hooks_messages(self, monkeypatch):
+        # the messages name the group and the label, word for word as before
+        # the two-term steps moved into polynomial.two_term_ratio
+        lam = Partition((2, 1))
+        cases = [
+            (lambda lam: [2] * lam.size, degree_u,
+             "U degree of (2, 1) not polynomial: nonzero remainder 2*q + 2 dividing by q^2 - 1"),
+            (lambda lam: [2] * lam.size, degree_gl,
+             "GL degree of (2, 1) not polynomial: nonzero remainder -2*q + 2 dividing by q^2 - 1"),
+            (lambda lam: [lam.size + 5] * lam.size, degree_u,
+             "U degree of (2, 1) not polynomial: degree 6 below hook factor q^8"),
+            (lambda lam: [lam.size + 5] * lam.size, degree_gl,
+             "GL degree of (2, 1) not polynomial: degree 6 below hook factor q^8"),
+        ]
+        for wrong_hooks, degree, message in cases:
+            monkeypatch.setattr(unipotent, "_hooks_flat", wrong_hooks)
+            with pytest.raises(ExactDivisionError) as info:
+                degree.__wrapped__(lam)
+            assert str(info.value) == message
+
     def test_wrong_hooks_raise_under_python_O(self):
         script = (
             "from unicoh import ExactDivisionError, Partition, unipotent\n"
