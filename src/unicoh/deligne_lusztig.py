@@ -19,14 +19,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable
 
 from .errors import VerificationError
 from . import harish_chandra as hc
 from .harish_chandra import RepMultiset
-from .partitions import Partition
+from .partitions import Partition, partition
 from .polynomial import IntPolynomial, linear_combination, prod, q_minus_sign, two_term_ratio
-from .unipotent import SymbolLabel, _hooks_flat, a_exponent, from_symbol, symbol_degree, to_symbol
+from .unipotent import SymbolLabel, _hooks_flat, a_exponent, from_symbol, symbol, symbol_degree, to_symbol
 
 
 def tate_twist(exponent: int) -> int:
@@ -170,7 +169,8 @@ def _stratum_term_explicit(theta: int, theta_prime: int, a: int) -> RepMultiset:
     For exponent a = 2i (+1), the start label is a one-row alpha (i) and a
     one-column beta; splitting the added boxes as d to the alpha side gives
     alpha = (i + d - s, s) with 0 <= s <= min(d, i), and the column side
-    either keeps its length (bottom box added) or loses one row.
+    either keeps its length (bottom box added) or loses one row.  Every
+    partition and label comes from the `partition` and `symbol` memos.
     """
     i, odd = divmod(a, 2)
     t = 2 if odd else 1
@@ -178,17 +178,17 @@ def _stratum_term_explicit(theta: int, theta_prime: int, a: int) -> RepMultiset:
     labels = []
     for d in range(theta - theta_prime + 1):
         e = theta - theta_prime - d
-        alphas = [Partition((i + d - s, s)) for s in range(min(d, i) + 1)]
+        alphas = [partition((i + d - s, s)) for s in range(min(d, i) + 1)]
         betas = []
         if column == 0:
-            betas.append(Partition((e,) if e else ()))
+            betas.append(partition((e,) if e else ()))
         else:
-            betas.append(Partition((e + 1,) + (1,) * (column - 1)))
+            betas.append(partition((e + 1,) + (1,) * (column - 1)))
             if e >= 1:
-                betas.append(Partition((e,) + (1,) * column))
+                betas.append(partition((e,) + (1,) * column))
         for alpha in alphas:
             for beta in betas:
-                labels.append(SymbolLabel(t, alpha, beta))
+                labels.append(symbol(t, alpha, beta))
     return RepMultiset(labels)
 
 
@@ -289,17 +289,6 @@ def _chain_head(theta: int, a: int, chain: list[RepMultiset]) -> RepMultiset:
     return head
 
 
-def _table_from_chains(theta: int, chain: Callable[[int], list[RepMultiset]]) -> CohomologyTable:
-    """The closed-stratum table from the eigenvalue chains, `chain(a)` giving
-    the chain of exponent a.  Each chain is asked for when its turn comes, so
-    a caller that builds it there holds one chain at a time."""
-    entries = tuple(
-        CohomologyEntry(degree=a, frobenius_exponent=a, constituents=_chain_head(theta, a, chain(a)))
-        for a in range(2 * theta + 1)
-    )
-    return CohomologyTable(variety=f"closed-stratum(theta={theta})", entries=entries)
-
-
 def stratum_cohomology(theta: int) -> CohomologyTable:
     """Cohomology of the closed stratum, assembled from the first page.
 
@@ -311,7 +300,10 @@ def stratum_cohomology(theta: int) -> CohomologyTable:
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    return _table_from_chains(theta, lambda a: _eigen_chain(theta, a))
+    entries = tuple(
+        CohomologyEntry(a, a, _chain_head(theta, a, _eigen_chain(theta, a))) for a in range(2 * theta + 1)
+    )
+    return CohomologyTable(variety=f"closed-stratum(theta={theta})", entries=entries)
 
 
 def closed_stratum_cohomology(theta: int) -> CohomologyTable:

@@ -18,7 +18,7 @@ from .errors import RankCapError
 from . import weyl_characters
 from .partitions import Bipartition, Partition, bipartitions_of, partitions_of
 from .polynomial import IntPolynomial, linear_combination
-from .unipotent import SymbolLabel, symbol_degree
+from .unipotent import SymbolLabel, symbol, symbol_degree
 
 ORACLE_RANK_CAP = 6
 
@@ -96,11 +96,12 @@ def _pair_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipartition, .
     Each strip tuple is already in that order, and first components for
     different d have different sizes, so they never tie: sorting the
     (first, d) pairs once and emitting each first's seconds as they come
-    gives the order of sorting every pair.
+    gives the order of sorting every pair.  The pairs sort as plain tuples,
+    descending: on distinct partitions that is `label_sort_key` order, since
+    both put an extension before its prefix.
     """
     firsts = sorted(
-        ((first, d) for d in range(boxes + 1) for first in strips(start.first, d)),
-        key=lambda pair: weyl_characters.label_sort_key(pair[0]),
+        ((first, d) for d in range(boxes + 1) for first in strips(start.first, d)), reverse=True
     )
     seconds = [strips(start.second, boxes - d) for d in range(boxes + 1)]
     return tuple(Bipartition(first, second) for first, d in firsts for second in seconds[d])
@@ -243,7 +244,7 @@ def hc_induce(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> RepMultiset:
             # pieri_induce is multiplicity-free, so each output adds mult
             nxt.update(dict.fromkeys(pieri_induce(bip, a), mult))
         current = nxt
-    return RepMultiset({SymbolLabel(unitary.t, bip.first, bip.second): m for bip, m in current.items()})
+    return RepMultiset({symbol(unitary.t, bip.first, bip.second): m for bip, m in current.items()})
 
 
 # -- Frobenius reciprocity oracle ------------------------------------------

@@ -9,17 +9,25 @@ share across threads.
 from __future__ import annotations
 
 from functools import cache
-from operator import ge
+from operator import ge, index
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import VerificationError
 
 
 class Partition(tuple):
-    """A weakly decreasing tuple of positive integers; () is the empty partition."""
+    """A weakly decreasing tuple of positive integers; () is the empty partition.
+
+    Parts must be integers (`operator.index`): a float or a string raises
+    TypeError rather than being truncated or parsed.  A Partition passed in
+    is returned as it is, since it was checked when it was built and cannot
+    change.
+    """
 
     def __new__(cls, parts: Iterable[int] = ()):
-        parts = tuple(map(int, parts))
+        if type(parts) is cls:
+            return parts
+        parts = tuple(map(index, parts))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         # weakly decreasing with a positive last part means every part is positive
@@ -56,6 +64,16 @@ def _reject(parts: tuple[int, ...]) -> None:
 
 
 EMPTY = Partition()
+
+
+@cache
+def partition(parts: tuple[int, ...]) -> Partition:
+    """Partition(parts), built once per process for each distinct parts tuple.
+
+    For hot loops that ask for the same few partitions many times over;
+    the tuple must be hashable.  Equal tuples give the same object.
+    """
+    return Partition(parts)
 
 
 class Bipartition(NamedTuple):

@@ -61,7 +61,11 @@ def degree_u(lam: Partition) -> IntPolynomial:
 
 @dataclass(frozen=True, order=True, slots=True)
 class SymbolLabel:
-    """Cuspidal-support label (t, alpha, beta) of a unipotent representation of U_n(q)."""
+    """Cuspidal-support label (t, alpha, beta) of a unipotent representation of U_n(q).
+
+    alpha and beta are stored as Partitions, so parts that do not form a
+    partition raise the Partition error.
+    """
 
     t: int
     alpha: Partition
@@ -75,8 +79,11 @@ class SymbolLabel:
         t = self.t
         if t < 0:
             raise ValueError("cuspidal support index must be nonnegative")
-        object.__setattr__(self, "rank", 2 * (sum(self.alpha) + sum(self.beta)) + t * (t + 1) // 2)
-        object.__setattr__(self, "_hash", hash((t, self.alpha, self.beta)))
+        alpha, beta = Partition(self.alpha), Partition(self.beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "rank", 2 * (sum(alpha) + sum(beta)) + t * (t + 1) // 2)
+        object.__setattr__(self, "_hash", hash((t, alpha, beta)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -89,8 +96,16 @@ class SymbolLabel:
         return {"t": self.t, "alpha": list(self.alpha), "beta": list(self.beta)}
 
 
-def symbol(t: int, alpha, beta) -> SymbolLabel:
-    return SymbolLabel(t, Partition(alpha), Partition(beta))
+@cache
+def symbol(t: int, alpha: Partition, beta: Partition) -> SymbolLabel:
+    """The label (t, alpha, beta), built once per process.
+
+    Both induction paths of a stratum term build the same few labels tens of
+    thousands of times; through this memo they share one object per label,
+    so comparing their multisets mostly succeeds on identity.  Keyed on all
+    three arguments (alpha and beta must be hashable: Partitions or tuples).
+    """
+    return SymbolLabel(t, alpha, beta)
 
 
 def to_symbol(lam: Partition) -> SymbolLabel:

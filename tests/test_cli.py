@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from unicoh import Bipartition, ExactDivisionError, Partition, RankCapError
+from unicoh import Bipartition, ExactDivisionError, Partition, RankCapError, VerificationError
 from unicoh import cli
 from unicoh import deligne_lusztig as dl
 from unicoh import harish_chandra as hc
@@ -323,6 +323,8 @@ MEMOISED = (
     hc.add_horizontal_strips,
     hc.remove_horizontal_strips,
     unipotent.from_symbol,
+    unipotent.symbol,
+    partitions.partition,
     dl.stratum_term_dimension,
 )
 
@@ -394,6 +396,56 @@ class TestHorizontalStripCacheFault:
         assert dl.verify_stratum(3).ok is False
         status, _, _ = run(capsys, "verify", "-q")
         assert status == 1
+
+
+class TestLabelMemoFault:
+    """With the label and partition memos warm from a whole stratum table, a
+    fault on either stratum-term path still fails the dual-path comparison."""
+
+    CELL = (6, 3, 3)
+
+    @pytest.fixture
+    def warm_memos(self, character_caches):
+        character_caches()
+        dl.stratum_cohomology(6)
+        labels, parts = unipotent.symbol.cache_info(), partitions.partition.cache_info()
+        dl._stratum_term_explicit(*self.CELL)
+        # rebuilding the cell finds every label and partition in the memos
+        assert unipotent.symbol.cache_info().misses == labels.misses
+        assert partitions.partition.cache_info().misses == parts.misses
+
+    def test_extra_explicit_label_is_a_mismatch(self, monkeypatch, warm_memos):
+        original = dl._stratum_term_explicit
+
+        def extra(theta, theta_prime, a):
+            term = original(theta, theta_prime, a)
+            if (theta, theta_prime, a) != self.CELL:
+                return term
+            first = next(iter(term.counts))
+            size = first.alpha.size + first.beta.size
+            outsider = next(
+                label
+                for label in (unipotent.symbol(first.t, *bip) for bip in partitions.bipartitions_of(size))
+                if label not in term
+            )
+            return term.union(hc.RepMultiset([outsider]))
+
+        monkeypatch.setattr(dl, "_stratum_term_explicit", extra)
+        with pytest.raises(VerificationError, match="stratum term mismatch"):
+            dl.stratum_term(*self.CELL)
+        assert dl.verify_stratum(6).ok is False
+
+    def test_pieri_fault_is_a_mismatch(self, monkeypatch, warm_memos):
+        original = hc.pieri_induce
+
+        def broken(start, boxes):
+            outs = original(start, boxes)
+            return outs[:-1] if len(outs) > 1 else outs
+
+        monkeypatch.setattr(hc, "pieri_induce", broken)
+        with pytest.raises(VerificationError, match="stratum term mismatch"):
+            dl.stratum_term(*self.CELL)
+        assert dl.verify_stratum(6).ok is False
 
 
 class TestArgumentBoundary:

@@ -39,6 +39,16 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((3, 0, 2))
 
+    @pytest.mark.parametrize("parts", [(2.5, 1), (2.9,), ("3", "1")])
+    def test_rejects_parts_that_are_not_integers(self, parts):
+        # neither truncated nor parsed
+        with pytest.raises(TypeError):
+            Partition(parts)
+
+    def test_partition_is_returned_as_it_is(self):
+        lam = Partition((3, 1))
+        assert Partition(lam) is lam
+
     def test_size_and_rows(self):
         lam = Partition((3, 3, 2, 2, 1))
         assert lam.size == 11

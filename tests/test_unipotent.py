@@ -24,6 +24,7 @@ from unicoh import (
     two_quotient,
 )
 from unicoh import unipotent
+from unicoh.deligne_lusztig import _stratum_term_explicit, _stratum_term_pieri, stratum_cohomology
 from unicoh.unipotent import SymbolLabel, a_exponent, symbol
 
 from oracles import diagram_hooks, hook_formula_degree, syt_count
@@ -254,6 +255,50 @@ class TestStoredRankAndHash:
     def test_rank_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
             SymbolLabel(0, Partition(), Partition(), 0)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            ((1, 2), (0, 3), "parts must be weakly decreasing, got (1, 2)"),
+            ((), (0, 3), "parts must be positive, got 0 in (0, 3)"),
+        ],
+    )
+    def test_parts_must_be_partitions(self, alpha, beta, message):
+        with pytest.raises(ValueError) as info:
+            SymbolLabel(1, alpha, beta)
+        assert str(info.value) == message
+
+    def test_parts_are_stored_as_partitions(self):
+        sym = SymbolLabel(1, (2, 1, 0), [1])
+        assert type(sym.alpha) is type(sym.beta) is Partition
+        assert sym == symbol(1, (2, 1), (1,)) and sym.rank == 9
+
+
+class TestSymbolMemo:
+    """`symbol` builds each label once per process; what it returns must be
+    the label the constructor would build."""
+
+    def test_memo_matches_the_constructor(self):
+        # every label of U_{2 theta + 1} for theta <= 8: the same (alpha, beta)
+        # occurs with t = 1 at one rank and t = 2 two ranks up
+        for theta in range(9):
+            for lam in partitions_of(2 * theta + 1):
+                built = to_symbol(lam)
+                memo = symbol(built.t, built.alpha, built.beta)
+                assert memo == built and hash(memo) == hash(built) and memo.rank == built.rank
+                assert symbol(built.t, tuple(built.alpha), tuple(built.beta)) is memo
+
+    def test_second_page_is_all_hits(self):
+        stratum_cohomology(12)
+        before = symbol.cache_info()
+        stratum_cohomology(12)
+        after = symbol.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+
+    @pytest.mark.parametrize("cell", [(6, 0, 0), (6, 3, 3), (6, 4, 8), (12, 5, 6)])
+    def test_both_paths_share_label_objects(self, cell):
+        pieri, explicit = _stratum_term_pieri(*cell), _stratum_term_explicit(*cell)
+        assert {id(label) for label in pieri.counts} == {id(label) for label in explicit.counts}
 
 
 class TestSeries:
