@@ -17,8 +17,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from . import deligne_lusztig as dl
 from . import harish_chandra as hc
@@ -103,8 +103,7 @@ def _fmt_labels(reps: hc.RepMultiset) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
     """One rendered result: pretty text, JSON object, optional CSV rows, exit status."""
 
     text: str

@@ -17,8 +17,8 @@ pattern is not the expected one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .errors import VerificationError
 from . import harish_chandra as hc
@@ -36,8 +36,7 @@ def tate_twist(exponent: int) -> int:
 # -- tables ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CohomologyEntry:
+class CohomologyEntry(NamedTuple):
     """One Frobenius eigenspace: cohomological degree, exponent a of (-q)**a,
     and the multiset of irreducible constituents."""
 
@@ -46,10 +45,33 @@ class CohomologyEntry:
     constituents: RepMultiset
 
 
-@dataclass(frozen=True)
 class CohomologyTable:
-    variety: str
-    entries: tuple[CohomologyEntry, ...]
+    """A variety name and its Frobenius eigenspaces, one entry each.
+
+    Immutable: assigning to an attribute raises AttributeError.  Equality and
+    the hash read `variety` and `entries` only.
+    """
+
+    def __init__(self, variety: str, entries: tuple[CohomologyEntry, ...]):
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CohomologyTable is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CohomologyTable is immutable")
+
+    def __repr__(self) -> str:
+        return f"CohomologyTable(variety={self.variety!r}, entries={self.entries!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not CohomologyTable:
+            return NotImplemented
+        return (self.variety, self.entries) == (other.variety, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.variety, self.entries))
 
     @cached_property
     def _index(self) -> dict[int, dict[int, CohomologyEntry]]:
@@ -270,9 +292,10 @@ def _chain_head(theta: int, a: int, chain: list[RepMultiset]) -> RepMultiset:
     head = chain[0]
     carry = RepMultiset()
     if len(chain) > 1:
-        shared = chain[0].intersection(chain[1])
-        head = chain[0].difference(shared)
-        carry = chain[1].difference(shared)
+        # clipped differences: m0 - min(m0, m1) = max(m0 - m1, 0), so no
+        # intersection is needed
+        head = chain[0].difference(chain[1])
+        carry = chain[1].difference(chain[0])
     for j in range(2, len(chain)):
         if not carry.is_subset(chain[j]):
             missing = carry.difference(chain[j])
@@ -337,8 +360,7 @@ def closed_stratum_cohomology(theta: int) -> CohomologyTable:
 # -- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str = ""
@@ -352,8 +374,7 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-@dataclass(frozen=True)
-class StratumVerification:
+class StratumVerification(NamedTuple):
     theta: int
     checks: tuple[CheckResult, ...]
 

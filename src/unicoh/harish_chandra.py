@@ -231,20 +231,23 @@ def hc_induce(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> RepMultiset:
     GL block.
 
     The bipartition side is an iterated Pieri induction, one GL block at a
-    time.  Rank-zero GL blocks are the identity and are skipped.
+    time, and each Pieri output becomes its label (from the `symbol` memo)
+    as it comes.  Rank-zero GL blocks are the identity and are skipped.
     """
     if any(a < 0 for a in gl_ranks):
         raise ValueError("ranks must be nonnegative")
-    current: Counter[Bipartition] = Counter({unitary.bipartition: 1})
+    t = unitary.t
+    current: Counter[SymbolLabel] = Counter({symbol(t, unitary.alpha, unitary.beta): 1})
     for a in gl_ranks:
         if a == 0:
             continue
-        nxt: Counter[Bipartition] = Counter()
-        for bip, mult in current.items():
+        nxt: Counter[SymbolLabel] = Counter()
+        for label, mult in current.items():
             # pieri_induce is multiplicity-free, so each output adds mult
-            nxt.update(dict.fromkeys(pieri_induce(bip, a), mult))
+            outs = pieri_induce(label.bipartition, a)
+            nxt.update(dict.fromkeys([symbol(t, first, second) for first, second in outs], mult))
         current = nxt
-    return RepMultiset({symbol(unitary.t, bip.first, bip.second): m for bip, m in current.items()})
+    return RepMultiset(current)
 
 
 # -- Frobenius reciprocity oracle ------------------------------------------

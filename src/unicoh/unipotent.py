@@ -13,8 +13,8 @@ and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, total_ordering
+from typing import NamedTuple
 
 from .partitions import (
     Bipartition,
@@ -59,34 +59,60 @@ def degree_u(lam: Partition) -> IntPolynomial:
     return _hook_degree(lam, -1)
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@total_ordering
 class SymbolLabel:
     """Cuspidal-support label (t, alpha, beta) of a unipotent representation of U_n(q).
 
     alpha and beta are stored as Partitions, so parts that do not form a
-    partition raise the Partition error.
+    partition raise the Partition error.  Immutable: assigning to any
+    attribute raises AttributeError.  Labels compare (equality and order) by
+    (t, alpha, beta), and only with other labels.
     """
 
-    t: int
-    alpha: Partition
-    beta: Partition
-    # Rank n = 2(|alpha| + |beta|) + t(t+1)/2 of the ambient unitary group.
-    rank: int = field(init=False, repr=False, compare=False)
-    # hash((t, alpha, beta)), the hash the dataclass would compute on every call.
-    _hash: int = field(init=False, repr=False, compare=False)
+    # rank: n = 2(|alpha| + |beta|) + t(t+1)/2 of the ambient unitary group.
+    # _hash: hash((t, alpha, beta)), stored so that dict and set lookups do
+    # not rebuild the tuple.
+    __slots__ = ("t", "alpha", "beta", "rank", "_hash")
 
-    def __post_init__(self):
-        t = self.t
+    def __init__(self, t: int, alpha: Partition, beta: Partition):
         if t < 0:
             raise ValueError("cuspidal support index must be nonnegative")
-        alpha, beta = Partition(self.alpha), Partition(self.beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "rank", 2 * (sum(alpha) + sum(beta)) + t * (t + 1) // 2)
-        object.__setattr__(self, "_hash", hash((t, alpha, beta)))
+        alpha, beta = Partition(alpha), Partition(beta)
+        setter = object.__setattr__
+        setter(self, "t", t)
+        setter(self, "alpha", alpha)
+        setter(self, "beta", beta)
+        setter(self, "rank", 2 * (sum(alpha) + sum(beta)) + t * (t + 1) // 2)
+        setter(self, "_hash", hash((t, alpha, beta)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymbolLabel is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SymbolLabel is immutable")
+
+    def __reduce__(self):
+        return SymbolLabel, (self.t, self.alpha, self.beta)
+
+    def __repr__(self) -> str:
+        return f"SymbolLabel(t={self.t!r}, alpha={self.alpha!r}, beta={self.beta!r})"
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not SymbolLabel:
+            return NotImplemented
+        return self._hash == other._hash and (self.t, self.alpha, self.beta) == (
+            other.t, other.alpha, other.beta
+        )
+
+    def __lt__(self, other):
+        if other.__class__ is not SymbolLabel:
+            return NotImplemented
+        return (self.t, self.alpha, self.beta) < (other.t, other.alpha, other.beta)
 
     @property
     def bipartition(self) -> Bipartition:
@@ -141,8 +167,7 @@ def symbol_degree(sym: SymbolLabel) -> IntPolynomial:
     return degree_u(from_symbol(sym))
 
 
-@dataclass(frozen=True)
-class HCSeries:
+class HCSeries(NamedTuple):
     """Harish-Chandra series data of a unipotent representation of U_n(q)."""
 
     t: int

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, reduce
 from math import factorial
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import RankCapError
 from .partitions import (
@@ -205,8 +204,7 @@ def label_sort_key(label):
     return tuple(-p for p in label) + (1,)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     group: str
     labels: tuple
     classes: tuple

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -254,7 +253,7 @@ class TestCharacterTables:
         assert not sym.is_orthogonal(factorial(4) + 1)
         rows = [list(row) for row in typeb.values]
         rows[1][2] += 1
-        tampered = replace(typeb, values=tuple(tuple(row) for row in rows))
+        tampered = typeb._replace(values=tuple(tuple(row) for row in rows))
         assert not tampered.is_orthogonal(2**3 * factorial(3))
 
     def test_label_order_is_documented_total_order(self):
