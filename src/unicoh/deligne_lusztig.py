@@ -24,7 +24,7 @@ from .errors import VerificationError
 from . import harish_chandra as hc
 from .harish_chandra import RepMultiset
 from .partitions import Partition, partition
-from .polynomial import IntPolynomial, linear_combination, prod, q_minus_sign, two_term_ratio
+from .polynomial import IntPolynomial, linear_combination, prod, q_minus_sign, two_term_ratio, two_term_steps
 from .unipotent import SymbolLabel, _hooks_flat, a_exponent, from_symbol, symbol, symbol_degree, to_symbol
 
 
@@ -239,26 +239,53 @@ def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:
 
 
 @cache
-def stratum_term_dimension(theta: int, theta_prime: int, a: int) -> IntPolynomial:
-    """Dimension of stratum_term(theta, theta_prime, a) as a Harish-Chandra index.
+def index_form_row(theta: int, theta_prime: int) -> tuple[IntPolynomial, ...]:
+    """The Harish-Chandra index forms of stratum row (theta, theta'), by a = 0..2theta'.
 
-    The term is R_L^G(rho) for G = U_{2theta+1}(q), the Levi
-    L = U_{2theta'+1}(q) x GL_{theta-theta'}(q^2) and rho the Coxeter hook
-    label tensored with the trivial one, so its dimension is
+    The cell (theta, theta', a) is R_L^G(rho) for G = U_{2theta+1}(q), the
+    Levi L = U_{2theta'+1}(q) x GL_{theta-theta'}(q^2) and rho the Coxeter
+    hook label tensored with the trivial one, so its dimension is
     [G:P] * deg(rho) (Carter, Finite Groups of Lie Type, 1985):
     q**a(hook) * prod_{j<=2theta+1} (q**j - (-1)**j) over the hook factors
     of coxeter_hook(theta', a) and the GL factors q**(2j) - 1, j <= theta - theta'.
 
-    Memoised on the three integers: it reads no first-page label, so it
+    The a = 0 entry is that one `two_term_ratio`.  The hook of a has the
+    hook lengths {2theta'+1} u {1..a} u {1..m} with m = 2theta' - a, and
+    a(hook) = m(m+1)/2, so a -> a+1 multiplies the ratio without its q-power
+    by q**m - (-1)**m and divides it by q**(a+1) - (-1)**(a+1): one
+    `two_term_steps` per cell, which raises if a division is not exact.
+
+    Memoised on the two integers: it reads no first-page label, so it
     cannot hold a value computed from a faulty label.
     """
     _check_stratum_args(theta, theta_prime)
-    hook = coxeter_hook(theta_prime, a)
+    top = 2 * theta_prime
+    hook = coxeter_hook(theta_prime, 0)
     gl_factors = [2 * j for j in range(1, theta - theta_prime + 1)]
-    return two_term_ratio(
-        range(1, 2 * theta + 2), _hooks_flat(hook) + gl_factors, -1, a_exponent(hook),
-        f"index form of (theta={theta}, theta'={theta_prime}, a={a})",
+    shift = a_exponent(hook)
+    first = two_term_ratio(
+        range(1, 2 * theta + 2), _hooks_flat(hook) + gl_factors, -1, shift,
+        f"index form of (theta={theta}, theta'={theta_prime}, a=0)",
     )
+    row = [first]
+    coeffs = list(first.coeffs[shift:])
+    for a in range(1, top + 1):
+        m = top - a
+        coeffs = two_term_steps(
+            coeffs, (m + 1,), (a,), -1, f"index form of (theta={theta}, theta'={theta_prime}, a={a})"
+        )
+        row.append(IntPolynomial([0] * (m * (m + 1) // 2) + coeffs))
+    return tuple(row)
+
+
+def stratum_term_dimension(theta: int, theta_prime: int, a: int) -> IntPolynomial:
+    """Dimension of stratum_term(theta, theta_prime, a) as a Harish-Chandra
+    index form, read from `index_form_row(theta, theta_prime)` once the
+    arguments are checked."""
+    _check_stratum_args(theta, theta_prime)
+    if not 0 <= a <= 2 * theta_prime:
+        raise ValueError(f"exponent {a} out of range 0..{2 * theta_prime}")
+    return index_form_row(theta, theta_prime)[a]
 
 
 def eo_stratum_cohomology(theta: int, theta_prime: int) -> CohomologyTable:
@@ -397,8 +424,9 @@ def verify_stratum(theta: int) -> StratumVerification:
     builds the table once, by `stratum_cohomology` (one `stratum_term` call
     per cell, one eigenvalue chain held at a time).  The right-hand sides of
     (4) and (5) are the cells' Harish-Chandra index forms
-    (`stratum_term_dimension`, computed once per (theta, theta', a) per
-    process), which read no first-page label; their left-hand sides sum the
+    (`stratum_term_dimension`), which read no first-page label;
+    `index_form_row` builds them once per row (theta, theta') per process,
+    one two-term step per exponent a.  Their left-hand sides sum the
     generic degrees of the surviving labels only.  Stratum terms, chains and
     tables are not kept between calls.  Any exception while building the
     table or the closed formula fails all five checks with its message as

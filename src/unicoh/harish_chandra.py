@@ -192,11 +192,6 @@ class RepMultiset:
             merged[label] = merged.get(label, 0) + mult
         return RepMultiset(merged)
 
-    def intersection(self, other: "RepMultiset") -> "RepMultiset":
-        return RepMultiset(
-            {l: min(m, other.counts[l]) for l, m in self.counts.items() if l in other.counts}
-        )
-
     def difference(self, other: "RepMultiset") -> "RepMultiset":
         """Remove the shared part (multiset minus, clipped at zero)."""
         return RepMultiset(

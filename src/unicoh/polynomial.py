@@ -7,9 +7,11 @@ nonzero remainder raises rather than silently passing to rationals.
 Every dimension sum in the library (a multiset's generic degrees, Euler
 characteristics, alternating sums along an eigenvalue chain) is one
 `linear_combination`: column sums over the coefficient lists, one polynomial
-built at the end.  Every generic degree and every Harish-Chandra index of
-a stratum term is one `two_term_ratio`: a quotient of products of two-term
-factors q**j - s**j, built by one-pass steps on a single coefficient list.
+built at the end.  Every generic degree is one `two_term_ratio`: a quotient
+of products of two-term factors q**j - s**j, built by one-pass steps on a
+single coefficient list by `two_term_steps`.  The Harish-Chandra index
+forms of one stratum row start from one `two_term_ratio` and step from cell
+to cell by one `two_term_steps` each: one multiply and one exact-divide pass.
 The ring operators are the reference arithmetic of the test oracles and of
 the Coxeter closed form.
 """
@@ -36,7 +38,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _trim([int(c) for c in coeffs]))
+        object.__setattr__(self, "coeffs", _trim(list(map(int, coeffs))))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
@@ -215,27 +217,24 @@ def linear_combination(terms: Iterable[tuple[int, IntPolynomial]]) -> IntPolynom
     return IntPolynomial(map(sum, zip_longest(*rows, fillvalue=0)))
 
 
-def two_term_ratio(
-    numerator: Iterable[int], denominator: Iterable[int], sign: int, shift: int, what: str
-) -> IntPolynomial:
-    """q**shift * prod_{j in numerator} (q**j - sign**j) / prod_{h in denominator} (q**h - sign**h),
-    over two multisets of exponents.
+def two_term_steps(
+    coeffs: list[int], numerator: Iterable[int], denominator: Iterable[int], sign: int, what: str
+) -> list[int]:
+    """coeffs * prod_{j in numerator} (q**j - sign**j) / prod_{h in denominator} (q**h - sign**h),
+    on a coefficient list (lowest power first), all multiplications first.
 
-    Factors common to the two multisets cancel first.  The rest are two-term
-    polynomials, so each multiplication and each exact division is one pass
-    over a single coefficient list (lowest power first); a nonzero remainder
-    or a quotient of negative degree raises ExactDivisionError, whose message
-    starts with `what` (the quantity being computed).
+    Each factor is two-term, so each multiplication and each exact division
+    is one pass over a single list; nothing cancels beforehand.  A nonzero
+    remainder or a quotient of negative degree raises ExactDivisionError,
+    whose message starts with `what` (the quantity being computed).
     """
-    numerator, denominator = Counter(numerator), Counter(denominator)
-    coeffs = [1]
-    for j in (numerator - denominator).elements():
+    for j in numerator:
         e = sign**j
         product = [0] * j + coeffs
         for k, c in enumerate(coeffs):
             product[k] -= e * c
         coeffs = product
-    for h in (denominator - numerator).elements():
+    for h in denominator:
         e = sign**h
         # coeffs = quot * (q**h - e): top-down, quot[m] = coeffs[m + h] + e * quot[m + h]
         quot = coeffs[h:]
@@ -252,6 +251,22 @@ def two_term_ratio(
                 f"nonzero remainder {IntPolynomial(remainder)} dividing by {IntPolynomial.q_power(h) - e}"
             )
         coeffs = quot
+    return coeffs
+
+
+def two_term_ratio(
+    numerator: Iterable[int], denominator: Iterable[int], sign: int, shift: int, what: str
+) -> IntPolynomial:
+    """q**shift * prod_{j in numerator} (q**j - sign**j) / prod_{h in denominator} (q**h - sign**h),
+    over two multisets of exponents.
+
+    Factors common to the two multisets cancel first; `two_term_steps` builds
+    the rest from the constant 1, and raises as it does.
+    """
+    numerator, denominator = Counter(numerator), Counter(denominator)
+    coeffs = two_term_steps(
+        [1], (numerator - denominator).elements(), (denominator - numerator).elements(), sign, what
+    )
     return IntPolynomial([0] * shift + coeffs)
 
 

@@ -7,9 +7,11 @@ The rest are slower library algorithms kept after a faster one replaced
 them: the dense hook formula, domino peeling for 2-cores, the
 horizontal-strip recursions without pruning, the per-part check of a
 partition's parts, a multiset's dimension summed one polynomial at a time,
-and the scalar type-B Murnaghan-Nakayama recursion (`chi_typeb_by_recursion`)
-that the per-class columns replaced.  `hc_index_dimension` is the
-Harish-Chandra index [G:P] of a stratum term's parabolic, from dense products.
+the scalar type-B Murnaghan-Nakayama recursion (`chi_typeb_by_recursion`)
+that the per-class columns replaced, and the per-cell index form
+(`direct_index_form`) that the row steps of `index_form_row` replaced.
+`hc_index_dimension` is the Harish-Chandra index [G:P] of a stratum term's
+parabolic, from dense products.
 """
 
 from functools import cache, reduce
@@ -17,8 +19,9 @@ from itertools import permutations
 
 from unicoh import Bipartition, IntPolynomial, Partition, border_strips
 from unicoh.weyl_characters import label_sort_key
-from unicoh.polynomial import prod, q_minus_one, q_minus_sign
-from unicoh.unipotent import symbol_degree
+from unicoh.deligne_lusztig import coxeter_hook
+from unicoh.polynomial import prod, q_minus_one, q_minus_sign, two_term_ratio
+from unicoh.unipotent import _hooks_flat, a_exponent, symbol_degree
 
 
 def partition_parts_by_loop(parts) -> tuple[int, ...]:
@@ -269,3 +272,15 @@ def hc_index_dimension(theta: int, theta_prime: int) -> IntPolynomial:
         q_minus_one(2 * j) for j in range(1, theta - theta_prime + 1)
     )
     return unitary_order(2 * theta + 1).exact_div(levi)
+
+
+def direct_index_form(theta: int, theta_prime: int, a: int) -> IntPolynomial:
+    """The index form [G:P] * deg(Coxeter hook) of one stratum cell, as one
+    `two_term_ratio` over its own hook lengths and GL factors: no row, no
+    step from the neighbouring exponent."""
+    hook = coxeter_hook(theta_prime, a)
+    gl_factors = [2 * j for j in range(1, theta - theta_prime + 1)]
+    return two_term_ratio(
+        range(1, 2 * theta + 2), _hooks_flat(hook) + gl_factors, -1, a_exponent(hook),
+        f"index form of (theta={theta}, theta'={theta_prime}, a={a})",
+    )

@@ -325,7 +325,7 @@ MEMOISED = (
     unipotent.from_symbol,
     unipotent.symbol,
     partitions.partition,
-    dl.stratum_term_dimension,
+    dl.index_form_row,
 )
 
 

@@ -241,10 +241,12 @@ class TestFirstPageOncePerCall:
             return original(self)
 
         monkeypatch.setattr(RepMultiset, "dimension_poly", counting)
-        dl.stratum_term_dimension.cache_clear()
+        dl.index_form_row.cache_clear()
         assert verify_stratum(4).ok
-        # every cell's dimension comes from its index form, computed once
-        assert dl.stratum_term_dimension.cache_info().misses == len(calls) == 25
+        # every cell's dimension comes from its index form, one row of
+        # index forms built once per stratum theta' = 0..4
+        assert len(calls) == 25
+        assert dl.index_form_row.cache_info().misses == 5
         counts = {cell: summed.count(id(term)) for cell, term in calls}
         # no first-page term is summed, except that a one-term chain
         # (exponents 7 and 8 here) passes its term through as the table
@@ -410,26 +412,27 @@ class TestFirstPageOncePerCall:
         self.assert_dimension_checks_fail(verify_stratum(3))
 
     def test_index_form_failure_fails_the_dimension_checks(self, monkeypatch):
-        # wrong hook lengths for the Coxeter hook of (theta', a) = (1, 1):
+        # wrong hook lengths for the Coxeter hook of (theta', a) = (1, 0),
+        # the one hook the row (theta, theta') = (1, 1) reads:
         # (q + 1)(q^3 + 1) / (q^2 - 1)^2 after cancellation
         original = dl._hooks_flat
 
         def wrong(lam):
-            return [2, 2, 2] if lam == coxeter_hook(1, 1) else original(lam)
+            return [2, 2, 2] if lam == coxeter_hook(1, 0) else original(lam)
 
         monkeypatch.setattr(dl, "_hooks_flat", wrong)
         message = (
-            "index form of (theta=1, theta'=1, a=1) not polynomial: "
+            "index form of (theta=1, theta'=1, a=0) not polynomial: "
             "nonzero remainder 2*q + 2 dividing by q^2 - 1"
         )
         with pytest.raises(ExactDivisionError) as info:
-            dl.stratum_term_dimension.__wrapped__(1, 1, 1)
+            dl.index_form_row.__wrapped__(1, 1)
         assert str(info.value) == message
-        dl.stratum_term_dimension.cache_clear()
+        dl.index_form_row.cache_clear()
         try:
             report = verify_stratum(1)
         finally:
-            dl.stratum_term_dimension.cache_clear()
+            dl.index_form_row.cache_clear()
         failed = [(c.name, c.details) for c in report.checks if not c.passed]
         assert failed == [
             ("euler-characteristic-additivity (theta=1)", message),

@@ -29,7 +29,7 @@ from unicoh import deligne_lusztig as dl
 from unicoh import unipotent
 from unicoh.cli import main
 from unicoh.harish_chandra import RepMultiset
-from oracles import dimension_by_reduce, hc_index_dimension, hook_formula_degree
+from oracles import dimension_by_reduce, direct_index_form, hc_index_dimension, hook_formula_degree
 from strategies import partitions_up_to
 
 
@@ -167,7 +167,7 @@ def cold_caches():
     """Empty the degree, translation and index-form caches before and after
     the test, so that no value computed under an injected fault is read
     before it or leaks into later tests."""
-    caches = (unipotent.degree_u, unipotent.from_symbol, dl.stratum_term_dimension)
+    caches = (unipotent.degree_u, unipotent.from_symbol, dl.index_form_row)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -204,9 +204,26 @@ class TestIndexFormSeesLabelFaults:
 
 
 class TestIndexFormOracle:
-    """The engine's index form (`stratum_term_dimension`, one two-term pass)
-    against the dense oracles and against the sum over the cell's labels:
-    the slow path it gets in place of a per-cell guard in verify_stratum."""
+    """The engine's index form (`stratum_term_dimension`, read from the row
+    `index_form_row` builds by one two-term step per exponent) against the
+    per-cell form it replaced, the dense oracles and the sum over the cell's
+    labels: the slow paths it gets in place of a per-cell guard in
+    verify_stratum."""
+
+    # every cell up to theta = 16 adds about 0.6 s to the suite; theta = 17
+    # would bring it near 1 s
+    @pytest.mark.parametrize("theta", range(17))
+    def test_direct_index_form(self, theta):
+        for tp, a in _cells(theta):
+            assert dl.stratum_term_dimension(theta, tp, a) == direct_index_form(theta, tp, a), (theta, tp, a)
+
+    @pytest.mark.parametrize("theta,tp,a", [(3, 2, -1), (3, 2, 5), (3, 0, -1), (3, 0, 1), (3, -1, 0), (3, 4, 0)])
+    def test_out_of_range_cell_raises_before_the_row(self, theta, tp, a):
+        # a row read at a = -1 would silently answer its last cell
+        dl.index_form_row.cache_clear()
+        with pytest.raises(ValueError, match="out of range"):
+            dl.stratum_term_dimension(theta, tp, a)
+        assert dl.index_form_row.cache_info().currsize == 0
 
     @pytest.mark.parametrize("theta", range(11))
     def test_dense_index_times_hook_formula(self, theta):

@@ -265,7 +265,6 @@ class TestRepMultiset:
         a, b = symbol(1, (2,), ()), symbol(1, (1, 1), ())
         left = RepMultiset([a, b])
         right = RepMultiset([b])
-        assert left.intersection(right) == right
         assert left.difference(right) == RepMultiset([a])
         assert right.union(right).multiplicity(b) == 2
         assert not right.union(right).is_multiplicity_free()
