@@ -17,7 +17,7 @@ pattern is not the expected one.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple
 
 from .errors import VerificationError
@@ -45,53 +45,27 @@ class CohomologyEntry(NamedTuple):
     constituents: RepMultiset
 
 
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     """A variety name and its Frobenius eigenspaces, one entry each.
 
-    Immutable: assigning to an attribute raises AttributeError.  Equality and
-    the hash read `variety` and `entries` only.
+    The lookups scan `entries`, in which the engine never repeats a
+    (degree, exponent) pair; `eigenspace` answers with the first match.
     """
 
-    def __init__(self, variety: str, entries: tuple[CohomologyEntry, ...]):
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CohomologyTable is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("CohomologyTable is immutable")
-
-    def __repr__(self) -> str:
-        return f"CohomologyTable(variety={self.variety!r}, entries={self.entries!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not CohomologyTable:
-            return NotImplemented
-        return (self.variety, self.entries) == (other.variety, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.variety, self.entries))
-
-    @cached_property
-    def _index(self) -> dict[int, dict[int, CohomologyEntry]]:
-        """degree -> exponent -> entry; the engine never builds a repeated
-        (degree, exponent) pair.  Derived from `entries`, so not part of
-        equality or the JSON."""
-        index: dict[int, dict[int, CohomologyEntry]] = {}
-        for e in self.entries:
-            index.setdefault(e.degree, {}).setdefault(e.frobenius_exponent, e)
-        return index
+    variety: str
+    entries: tuple[CohomologyEntry, ...]
 
     def degrees(self) -> list[int]:
-        return sorted(self._index)
+        return sorted({e.degree for e in self.entries})
 
     def at(self, degree: int) -> tuple[CohomologyEntry, ...]:
-        return tuple(self._index.get(degree, {}).values())
+        return tuple(e for e in self.entries if e.degree == degree)
 
     def eigenspace(self, degree: int, exponent: int) -> RepMultiset:
-        entry = self._index.get(degree, {}).get(exponent)
-        return RepMultiset() if entry is None else entry.constituents
+        for e in self.entries:
+            if e.degree == degree and e.frobenius_exponent == exponent:
+                return e.constituents
+        return RepMultiset()
 
     def degree_constituents(self, degree: int) -> Counter[SymbolLabel]:
         """All constituents in one degree, across eigenvalues (so possibly
@@ -100,11 +74,6 @@ class CohomologyTable:
         for e in self.at(degree):
             out.update(e.constituents.counts)
         return out
-
-    def euler_characteristic(self) -> IntPolynomial:
-        return linear_combination(
-            ((-1) ** (e.degree % 2), e.constituents.dimension_poly()) for e in self.entries
-        )
 
     def to_json(self) -> dict:
         return {
@@ -131,10 +100,14 @@ class CohomologyTable:
 # -- Coxeter varieties ------------------------------------------------------
 
 
-def coxeter_hook(k: int, a: int) -> Partition:
-    """Hook partition (1 + a, 1**(2k - a)) of 2k + 1 attached to eigenvalue exponent a."""
+def _check_exponent(k: int, a: int) -> None:
     if not 0 <= a <= 2 * k:
         raise ValueError(f"exponent {a} out of range 0..{2 * k}")
+
+
+def coxeter_hook(k: int, a: int) -> Partition:
+    """Hook partition (1 + a, 1**(2k - a)) of 2k + 1 attached to eigenvalue exponent a."""
+    _check_exponent(k, a)
     return Partition((1 + a,) + (1,) * (2 * k - a))
 
 
@@ -161,8 +134,7 @@ def coxeter_eigenspace_dim(k: int, a: int) -> IntPolynomial:
     Dense products and one long division on purpose: this is the side of
     the coxeter-eigenspace-dimension check that shares no code with the
     generic degrees it is compared against."""
-    if not 0 <= a <= 2 * k:
-        raise ValueError(f"exponent {a} out of range 0..{2 * k}")
+    _check_exponent(k, a)
     m = 2 * k - a
     num = IntPolynomial.q_power(m * (m + 1) // 2) * prod(q_minus_sign(a + j) for j in range(1, m + 1))
     den = prod(q_minus_sign(j) for j in range(1, m + 1))
@@ -222,8 +194,7 @@ def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:
     a repeated constituent, raises VerificationError.
     """
     _check_stratum_args(theta, theta_prime)
-    if not 0 <= a <= 2 * theta_prime:
-        raise ValueError(f"exponent {a} out of range 0..{2 * theta_prime}")
+    _check_exponent(theta_prime, a)
     via_pieri = _stratum_term_pieri(theta, theta_prime, a)
     explicit = _stratum_term_explicit(theta, theta_prime, a)
     if via_pieri != explicit:
@@ -283,8 +254,7 @@ def stratum_term_dimension(theta: int, theta_prime: int, a: int) -> IntPolynomia
     index form, read from `index_form_row(theta, theta_prime)` once the
     arguments are checked."""
     _check_stratum_args(theta, theta_prime)
-    if not 0 <= a <= 2 * theta_prime:
-        raise ValueError(f"exponent {a} out of range 0..{2 * theta_prime}")
+    _check_exponent(theta_prime, a)
     return index_form_row(theta, theta_prime)[a]
 
 
@@ -422,15 +392,24 @@ def verify_stratum(theta: int) -> StratumVerification:
     (5) per-exponent alternating dimension sums telescope to the answer.
     All dimension identities are exact polynomial identities in q.  Each call
     builds the table once, by `stratum_cohomology` (one `stratum_term` call
-    per cell, one eigenvalue chain held at a time).  The right-hand sides of
-    (4) and (5) are the cells' Harish-Chandra index forms
-    (`stratum_term_dimension`), which read no first-page label;
-    `index_form_row` builds them once per row (theta, theta') per process,
-    one two-term step per exponent a.  Their left-hand sides sum the
-    generic degrees of the surviving labels only.  Stratum terms, chains and
-    tables are not kept between calls.  Any exception while building the
-    table or the closed formula fails all five checks with its message as
-    details; one raised inside a check fails only that check.
+    per cell, one eigenvalue chain held at a time).
+
+    One dimension pass feeds (4) and (5).  It sums the generic degrees of
+    each table entry once, and for each exponent a it takes once the
+    alternating sum alt(a) of the cells' Harish-Chandra index forms along
+    the chain (`stratum_term_dimension`, which reads no first-page label;
+    `index_form_row` builds them once per row (theta, theta') per process).
+    (5) compares alt(a) with the (a, a) entry.  (4) compares the entries'
+    signed total with the sum of (-1)**a * alt(a), which is the sum over
+    cells with sign (-1)**(theta' + a // 2), regrouped.  So neither (3) nor
+    (4) can fail on its own: (3) restates how `stratum_cohomology` builds
+    the table, and (4) is the signed total of (5).  The report still lists
+    five checks.
+
+    Stratum terms, chains and tables are not kept between calls.  Any
+    exception while building the table or the closed formula fails all five
+    checks with its message as details; one raised in the dimension pass
+    fails (4) and (5); one raised inside a check fails only that check.
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
@@ -443,12 +422,23 @@ def verify_stratum(theta: int) -> StratumVerification:
     except Exception as exc:
         build_failure = [str(exc)]
 
-    def chain_dims(a: int) -> list[IntPolynomial]:
-        return [stratum_term_dimension(theta, tp, a) for tp in range((a + 1) // 2, theta + 1)]
-
-    def run(name, body):
+    dimension_failure = build_failure
+    if not build_failure:
         try:
-            failures = build_failure or body()
+            entry_dims = [e.constituents.dimension_poly() for e in table.entries]
+            alts = [
+                linear_combination(
+                    ((-1) ** j, stratum_term_dimension(theta, tp, a))
+                    for j, tp in enumerate(range((a + 1) // 2, theta + 1))
+                )
+                for a in range(2 * theta + 1)
+            ]
+        except Exception as exc:
+            dimension_failure = [str(exc)]
+
+    def run(name, failure, body):
+        try:
+            failures = failure or body()
         except Exception as exc:
             failures = [str(exc)]
         checks.append(CheckResult(f"{name} {prefix}", not failures, "; ".join(failures)))
@@ -477,30 +467,28 @@ def verify_stratum(theta: int) -> StratumVerification:
         ]
 
     def euler_check():
-        lhs = table.euler_characteristic()
-        rhs = linear_combination(
-            ((-1) ** (theta_prime + a // 2), dim)
-            for a in range(2 * theta + 1)
-            for theta_prime, dim in enumerate(chain_dims(a), start=(a + 1) // 2)
-        )
+        lhs = linear_combination(((-1) ** (e.degree % 2), dim) for e, dim in zip(table.entries, entry_dims))
+        rhs = linear_combination(((-1) ** a, alt) for a, alt in enumerate(alts))
         if lhs != rhs:
             return [f"stratum {lhs} != sum over pieces {rhs}"]
         return []
 
     def alternating_sum_check():
+        heads: dict[tuple[int, int], IntPolynomial] = {}
+        for e, dim in zip(table.entries, entry_dims):
+            heads.setdefault((e.degree, e.frobenius_exponent), dim)
         failures = []
-        for a in range(2 * theta + 1):
-            alt = linear_combination(((-1) ** j, dim) for j, dim in enumerate(chain_dims(a)))
-            target = table.eigenspace(a, a).dimension_poly()
+        for a, alt in enumerate(alts):
+            target = heads.get((a, a), IntPolynomial.zero())
             if alt != target:
                 failures.append(f"exponent {a}: {alt} != {target}")
         return failures
 
-    run("stratum-equals-closed-formula", equality_check)
-    run("poincare-duality-symmetry", duality_check)
-    run("frobenius-exponent-equals-degree", exponent_check)
-    run("euler-characteristic-additivity", euler_check)
-    run("eigenvalue-alternating-sums", alternating_sum_check)
+    run("stratum-equals-closed-formula", build_failure, equality_check)
+    run("poincare-duality-symmetry", build_failure, duality_check)
+    run("frobenius-exponent-equals-degree", build_failure, exponent_check)
+    run("euler-characteristic-additivity", dimension_failure, euler_check)
+    run("eigenvalue-alternating-sums", dimension_failure, alternating_sum_check)
 
     return StratumVerification(theta=theta, checks=tuple(checks))
 

@@ -20,25 +20,30 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from operator import index
+from typing import Iterable
 
 from .errors import ExactDivisionError
 
 
-def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
+def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
-    return tuple(coeffs[:n])
+    return coeffs[:n]
 
 
 class IntPolynomial:
-    """Immutable integer polynomial; () is the zero polynomial."""
+    """Immutable integer polynomial; () is the zero polynomial.
+
+    Coefficients must be integers (`operator.index`): a float or a string
+    raises TypeError rather than being truncated or parsed.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _trim(list(map(int, coeffs))))
+        object.__setattr__(self, "coeffs", _trim(tuple(map(index, coeffs))))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")

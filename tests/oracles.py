@@ -8,10 +8,12 @@ them: the dense hook formula, domino peeling for 2-cores, the
 horizontal-strip recursions without pruning, the per-part check of a
 partition's parts, a multiset's dimension summed one polynomial at a time,
 the scalar type-B Murnaghan-Nakayama recursion (`chi_typeb_by_recursion`)
-that the per-class columns replaced, and the per-cell index form
-(`direct_index_form`) that the row steps of `index_form_row` replaced.
-`hc_index_dimension` is the Harish-Chandra index [G:P] of a stratum term's
-parabolic, from dense products.
+that the per-class columns replaced, the per-cell index form
+(`direct_index_form`) that the row steps of `index_form_row` replaced, and
+the Euler sum over the first-page cells (`euler_sum_over_cells`) that
+verify_stratum's sum by exponent replaced.  `hc_index_dimension` is the
+Harish-Chandra index [G:P] of a stratum term's parabolic, from dense
+products.
 """
 
 from functools import cache, reduce
@@ -19,8 +21,8 @@ from itertools import permutations
 
 from unicoh import Bipartition, IntPolynomial, Partition, border_strips
 from unicoh.weyl_characters import label_sort_key
-from unicoh.deligne_lusztig import coxeter_hook
-from unicoh.polynomial import prod, q_minus_one, q_minus_sign, two_term_ratio
+from unicoh.deligne_lusztig import coxeter_hook, stratum_term_dimension
+from unicoh.polynomial import linear_combination, prod, q_minus_one, q_minus_sign, two_term_ratio
 from unicoh.unipotent import _hooks_flat, a_exponent, symbol_degree
 
 
@@ -283,4 +285,15 @@ def direct_index_form(theta: int, theta_prime: int, a: int) -> IntPolynomial:
     return two_term_ratio(
         range(1, 2 * theta + 2), _hooks_flat(hook) + gl_factors, -1, a_exponent(hook),
         f"index form of (theta={theta}, theta'={theta_prime}, a={a})",
+    )
+
+
+def euler_sum_over_cells(theta: int) -> IntPolynomial:
+    """The Euler characteristic of the first page at theta: every cell's
+    index form with the sign (-1)**(theta' + a // 2) of its degree
+    theta' + a // 2, summed cell by cell."""
+    return linear_combination(
+        ((-1) ** (tp + a // 2), stratum_term_dimension(theta, tp, a))
+        for a in range(2 * theta + 1)
+        for tp in range((a + 1) // 2, theta + 1)
     )

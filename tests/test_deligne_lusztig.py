@@ -250,9 +250,9 @@ class TestFirstPageOncePerCall:
         counts = {cell: summed.count(id(term)) for cell, term in calls}
         # no first-page term is summed, except that a one-term chain
         # (exponents 7 and 8 here) passes its term through as the table
-        # entry, summed once for the Euler characteristic and once as the head
+        # entry, summed once by the dimension pass that both checks read
         assert all(n == 0 for (_, a), n in counts.items() if a < 7)
-        assert counts[4, 7] == counts[4, 8] == 2
+        assert counts[4, 7] == counts[4, 8] == 1
 
     def test_page_is_scoped_to_the_call(self):
         original = dl.stratum_term

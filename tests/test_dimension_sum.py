@@ -29,7 +29,14 @@ from unicoh import deligne_lusztig as dl
 from unicoh import unipotent
 from unicoh.cli import main
 from unicoh.harish_chandra import RepMultiset
-from oracles import dimension_by_reduce, direct_index_form, hc_index_dimension, hook_formula_degree
+from unicoh.polynomial import linear_combination
+from oracles import (
+    dimension_by_reduce,
+    direct_index_form,
+    euler_sum_over_cells,
+    hc_index_dimension,
+    hook_formula_degree,
+)
 from strategies import partitions_up_to
 
 
@@ -237,3 +244,25 @@ class TestIndexFormOracle:
         for tp, a in _cells(theta):
             labels = stratum_term(theta, tp, a).dimension_poly()
             assert dl.stratum_term_dimension(theta, tp, a) == labels, (theta, tp, a)
+
+
+class TestEulerRegrouping:
+    """verify_stratum's Euler check sums (-1)**a * alt(a), with alt(a) the
+    alternating sum of index forms along the exponent-a chain; the sum over
+    cells with sign (-1)**(theta' + a // 2) is the same polynomial."""
+
+    @staticmethod
+    def alternating_sum(theta: int, a: int) -> IntPolynomial:
+        return linear_combination(
+            ((-1) ** j, dl.stratum_term_dimension(theta, tp, a))
+            for j, tp in enumerate(range((a + 1) // 2, theta + 1))
+        )
+
+    @pytest.mark.parametrize("theta", range(13))
+    def test_regrouped_by_exponent(self, theta):
+        regrouped = linear_combination(
+            ((-1) ** a, self.alternating_sum(theta, a)) for a in range(2 * theta + 1)
+        )
+        assert regrouped == euler_sum_over_cells(theta)
+        answer = dl.closed_stratum_cohomology(theta).entries
+        assert regrouped == linear_combination(((-1) ** e.degree, e.constituents.dimension_poly()) for e in answer)

@@ -14,9 +14,17 @@ from strategies import int_polys
 
 def test_trimming_and_zero():
     assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
+    assert IntPolynomial(iter([0, 2, 0])).coeffs == (0, 2)
     assert IntPolynomial(()).is_zero()
     assert IntPolynomial((0, 0)).is_zero()
     assert IntPolynomial.zero().degree == -1
+
+
+@pytest.mark.parametrize("coeffs", [(1.5, 3), (2.0,), ("3",), [1, "3"]])
+def test_rejects_coefficients_that_are_not_integers(coeffs):
+    # neither truncated nor parsed
+    with pytest.raises(TypeError):
+        IntPolynomial(coeffs)
 
 
 def test_basic_arithmetic():

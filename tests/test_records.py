@@ -66,11 +66,12 @@ def test_equal_records_hash_equal(name):
     assert first == second and hash(first) == hash(second)
 
 
-def test_table_index_is_built_once_and_not_assignable():
+def test_table_lookups_read_the_entries():
+    # a table is its two fields and nothing derived from them
     table = coxeter_cohomology(2)
-    assert table.at(2) == table.at(2) and table._index is table._index
-    with pytest.raises(AttributeError):
-        table._index = {}
+    assert table.at(2) == tuple(e for e in table.entries if e.degree == 2) and len(table.at(2)) == 2
+    assert table.at(5) == () and table.degrees() == [2, 3, 4]
+    assert table == (table.variety, table.entries) and not hasattr(table, "__dict__")
 
 
 class TestSymbolLabelOrder:
