@@ -17,7 +17,8 @@ pattern is not the expected one.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, partial
+from itertools import product, starmap
 from typing import NamedTuple
 
 from .errors import VerificationError
@@ -164,25 +165,23 @@ def _stratum_term_explicit(theta: int, theta_prime: int, a: int) -> RepMultiset:
     one-column beta; splitting the added boxes as d to the alpha side gives
     alpha = (i + d - s, s) with 0 <= s <= min(d, i), and the column side
     either keeps its length (bottom box added) or loses one row.  Every
-    partition and label comes from the `partition` and `symbol` memos.
+    partition and label comes from the `partition` and `symbol` memos, and
+    the constructor counts the labels with one hash each.
     """
     i, odd = divmod(a, 2)
-    t = 2 if odd else 1
+    label_of = partial(symbol, 2 if odd else 1)
     column = theta_prime - i - odd
-    labels = []
+    labels: list[SymbolLabel] = []
     for d in range(theta - theta_prime + 1):
         e = theta - theta_prime - d
         alphas = [partition((i + d - s, s)) for s in range(min(d, i) + 1)]
-        betas = []
         if column == 0:
-            betas.append(partition((e,) if e else ()))
+            betas = [partition((e,) if e else ())]
         else:
-            betas.append(partition((e + 1,) + (1,) * (column - 1)))
+            betas = [partition((e + 1,) + (1,) * (column - 1))]
             if e >= 1:
                 betas.append(partition((e,) + (1,) * column))
-        for alpha in alphas:
-            for beta in betas:
-                labels.append(symbol(t, alpha, beta))
+        labels.extend(starmap(label_of, product(alphas, betas)))
     return RepMultiset(labels)
 
 

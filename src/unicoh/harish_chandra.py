@@ -10,8 +10,10 @@ character tables cross-checks the rule at small rank.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, partial
+from itertools import chain, repeat, starmap
 from math import factorial
+from operator import attrgetter, index, is_not, le
 from typing import Iterable, Iterator, Mapping
 
 from .errors import RankCapError
@@ -94,17 +96,20 @@ def _pair_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipartition, .
     boxes - d on the second, in `label_sort_key` order.
 
     Each strip tuple is already in that order, and first components for
-    different d have different sizes, so they never tie: sorting the
-    (first, d) pairs once and emitting each first's seconds as they come
-    gives the order of sorting every pair.  The pairs sort as plain tuples,
+    different d have different sizes, so they never tie: sorting the first
+    components once and emitting each one's seconds as they come gives the
+    order of sorting every pair.  The first components sort as plain tuples,
     descending: on distinct partitions that is `label_sort_key` order, since
-    both put an extension before its prefix.
+    both put an extension before its prefix.  A first component of size
+    |start.first| + d (adding) or |start.first| - d (deleting) takes the
+    seconds of d.  The pairs become Bipartitions through `tuple.__new__`,
+    as the NamedTuple constructor would make them.
     """
-    firsts = sorted(
-        ((first, d) for d in range(boxes + 1) for first in strips(start.first, d)), reverse=True
-    )
+    firsts = sorted(chain.from_iterable(strips(start.first, d) for d in range(boxes + 1)), reverse=True)
     seconds = [strips(start.second, boxes - d) for d in range(boxes + 1)]
-    return tuple(Bipartition(first, second) for first, d in firsts for second in seconds[d])
+    base = start.first.size
+    pairs = [(first, second) for first in firsts for second in seconds[abs(sum(first) - base)]]
+    return tuple(map(partial(tuple.__new__, Bipartition), pairs))
 
 
 def pieri_induce(start: Bipartition, boxes: int) -> tuple[Bipartition, ...]:
@@ -114,11 +119,15 @@ def pieri_induce(start: Bipartition, boxes: int) -> tuple[Bipartition, ...]:
     way and add each share as a horizontal strip.  Each component's strips
     are enumerated once per box count and then paired.
     """
+    if boxes < 0:
+        raise ValueError("cannot add a negative number of boxes")
     return _pair_strips(start, boxes, add_horizontal_strips)
 
 
 def pieri_restrict(start: Bipartition, boxes: int) -> tuple[Bipartition, ...]:
     """Constituents of the restriction from W_a to W_{a-boxes} (times S_boxes, trivial part)."""
+    if boxes < 0:
+        raise ValueError("cannot delete a negative number of boxes")
     if boxes > start.size:
         raise ValueError(f"cannot delete {boxes} boxes from a bipartition of {start.size}")
     return _pair_strips(start, boxes, remove_horizontal_strips)
@@ -131,18 +140,27 @@ class RepMultiset:
     """Multiset of symbol labels with positive multiplicities.
 
     All labels must share the same cuspidal support t and ambient rank n.
+    Multiplicities must be integers (`operator.index`): a float or a string
+    raises TypeError.  Zero multiplicities are dropped.
     """
 
     __slots__ = ("counts",)
 
     def __init__(self, items: Mapping[SymbolLabel, int] | Iterable[SymbolLabel] = ()):
+        # dict() copies a mapping with the hashes it stores, and Counter hashes
+        # each label of an iterable once; the checks below run at C level
         if isinstance(items, Mapping):
-            counts = {label: mult for label, mult in items.items() if mult}
+            counts = dict(items)
+            mults = list(map(index, counts.values()))
+            if any(map(is_not, mults, counts.values())):  # a bool or another integer type
+                counts = dict(zip(counts, mults))
+            if 0 in mults:
+                counts = {label: mult for label, mult in counts.items() if mult}
+            if mults and min(mults) < 0:
+                raise ValueError("multiplicities must be nonnegative")
         else:
-            counts = dict(Counter(items))
-        if any(mult < 0 for mult in counts.values()):
-            raise ValueError("multiplicities must be nonnegative")
-        supports = {(label.t, label.rank) for label in counts}
+            counts = dict(Counter(items))  # every count is a positive int
+        supports = set(map(attrgetter("t", "rank"), counts))
         if len(supports) > 1:
             raise ValueError(f"mixed cuspidal supports in one multiset: {supports}")
         object.__setattr__(self, "counts", counts)
@@ -175,7 +193,7 @@ class RepMultiset:
         return self.counts.get(label, 0)
 
     def is_multiplicity_free(self) -> bool:
-        return all(m == 1 for m in self.counts.values())
+        return max(self.counts.values(), default=1) == 1
 
     def sorted_labels(self) -> list[SymbolLabel]:
         return sorted(
@@ -193,13 +211,23 @@ class RepMultiset:
         return RepMultiset(merged)
 
     def difference(self, other: "RepMultiset") -> "RepMultiset":
-        """Remove the shared part (multiset minus, clipped at zero)."""
-        return RepMultiset(
-            {l: m - other.counts.get(l, 0) for l, m in self.counts.items() if m > other.counts.get(l, 0)}
-        )
+        """Remove the shared part (multiset minus, clipped at zero).
+
+        Each label is looked up in `other` once.  A sub-multiset of a checked
+        multiset passes the same checks, so the result skips the constructor.
+        """
+        get = other.counts.get
+        left = {}
+        for label, mult in self.counts.items():
+            rest = mult - get(label, 0)
+            if rest > 0:
+                left[label] = rest
+        multiset = object.__new__(RepMultiset)
+        object.__setattr__(multiset, "counts", left)
+        return multiset
 
     def is_subset(self, other: "RepMultiset") -> bool:
-        return all(other.counts.get(l, 0) >= m for l, m in self.counts.items())
+        return all(map(le, self.counts.values(), map(other.counts.get, self.counts, repeat(0))))
 
     def dimension_poly(self) -> IntPolynomial:
         """Sum of generic degrees over the multiset, as a polynomial in q,
@@ -228,19 +256,26 @@ def hc_induce(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> RepMultiset:
     The bipartition side is an iterated Pieri induction, one GL block at a
     time, and each Pieri output becomes its label (from the `symbol` memo)
     as it comes.  Rank-zero GL blocks are the identity and are skipped.
+    Multiplicities add up in a plain dict: the first label of a block fills
+    it with `dict.fromkeys`, and later labels merge one output at a time.
     """
     if any(a < 0 for a in gl_ranks):
         raise ValueError("ranks must be nonnegative")
-    t = unitary.t
-    current: Counter[SymbolLabel] = Counter({symbol(t, unitary.alpha, unitary.beta): 1})
+    label_of = partial(symbol, unitary.t)
+    current = {label_of(unitary.alpha, unitary.beta): 1}
     for a in gl_ranks:
         if a == 0:
             continue
-        nxt: Counter[SymbolLabel] = Counter()
+        nxt: dict[SymbolLabel, int] = {}
         for label, mult in current.items():
             # pieri_induce is multiplicity-free, so each output adds mult
-            outs = pieri_induce(label.bipartition, a)
-            nxt.update(dict.fromkeys([symbol(t, first, second) for first, second in outs], mult))
+            outs = starmap(label_of, pieri_induce(label.bipartition, a))
+            if not nxt:
+                nxt = dict.fromkeys(outs, mult)
+                continue
+            get = nxt.get
+            for out in outs:
+                nxt[out] = get(out, 0) + mult
         current = nxt
     return RepMultiset(current)
 

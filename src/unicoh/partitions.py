@@ -9,7 +9,7 @@ share across threads.
 from __future__ import annotations
 
 from functools import cache
-from operator import ge, index
+from operator import add, ge, index, sub
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import VerificationError
@@ -119,8 +119,7 @@ def beta_set(lam: Partition, rows: Optional[int] = None) -> tuple[int, ...]:
         rows = len(lam)
     if rows < len(lam):
         raise ValueError(f"row count {rows} below number of parts {len(lam)}")
-    padded = tuple(lam) + (0,) * (rows - len(lam))
-    return tuple(p + rows - (i + 1) for i, p in enumerate(padded))
+    return tuple(map(add, lam + (0,) * (rows - len(lam)), range(rows - 1, -1, -1)))
 
 
 def from_beta_set(values: Iterable[int]) -> Partition:
@@ -131,7 +130,7 @@ def from_beta_set(values: Iterable[int]) -> Partition:
     the last part is nonnegative exactly when the last value is.
     """
     values = tuple(values)
-    return Partition(b + i + 1 - len(values) for i, b in enumerate(values))
+    return Partition(map(sub, values, range(len(values) - 1, -1, -1)))
 
 
 def hook_lengths(lam: Partition) -> tuple[tuple[int, ...], ...]:
@@ -171,8 +170,9 @@ def border_strips(lam: Partition, size: int) -> tuple[BorderStrip, ...]:
     return tuple(strips)
 
 
-def two_core(lam: Partition) -> int:
-    """Staircase index t of the 2-core, read off the 2-abacus.
+def core_quotient(lam: Partition, rows: Optional[int] = None) -> CoreQuotient:
+    """2-core index and 2-quotient of lam, read off the 2-abacus of one beta
+    set (at `rows` rows, default the number of nonzero parts).
 
     Removing a domino moves one beta value b to a free b - 2: one bead down
     its runner (even or odd values), so the bead count of each runner never
@@ -182,12 +182,21 @@ def two_core(lam: Partition) -> int:
     bead.  If e > o, the beads fill 0, ..., 2o and leave e - o - 1 gaps above
     that block; if o >= e, they fill 0, ..., 2e - 1 and leave the odd beads
     2e + 1, ..., 2o - 1.  So t = max(e - o - 1, o - e), with no domino
-    removed one by one.
+    removed one by one.  The halved values on each runner are the beta sets
+    of the quotient components, ordered by the parity of the row count.
+    Neither t nor the quotient depends on padding lam with zero rows.
     """
-    values = beta_set(lam)
-    evens = sum(1 for b in values if b % 2 == 0)
-    odds = len(values) - evens
-    return max(evens - odds - 1, odds - evens)
+    values = beta_set(lam, rows)
+    evens = [b // 2 for b in values if b % 2 == 0]
+    odds = [b // 2 for b in values if b % 2]
+    mu0, mu1 = from_beta_set(evens), from_beta_set(odds)
+    quotient = Bipartition(mu0, mu1) if len(values) % 2 else Bipartition(mu1, mu0)
+    return CoreQuotient(max(len(evens) - len(odds) - 1, len(odds) - len(evens)), quotient)
+
+
+def two_core(lam: Partition) -> int:
+    """Staircase index t of the 2-core, read off the 2-abacus (see `core_quotient`)."""
+    return core_quotient(lam).core_index
 
 
 def two_quotient(lam: Partition, rows: Optional[int] = None) -> Bipartition:
@@ -196,19 +205,7 @@ def two_quotient(lam: Partition, rows: Optional[int] = None) -> Bipartition:
     The result does not depend on padding lam with zero rows; the default
     row count is the number of nonzero parts.
     """
-    lam = Partition(lam)
-    if rows is None:
-        rows = len(lam)
-    values = beta_set(lam, rows)
-    mu0 = from_beta_set(b // 2 for b in values if b % 2 == 0)
-    mu1 = from_beta_set(b // 2 for b in values if b % 2 == 1)
-    if rows % 2 == 1:
-        return Bipartition(mu0, mu1)
-    return Bipartition(mu1, mu0)
-
-
-def core_quotient(lam: Partition) -> CoreQuotient:
-    return CoreQuotient(two_core(lam), two_quotient(lam))
+    return core_quotient(lam, rows).quotient
 
 
 def from_core_quotient(t: int, quotient: Bipartition) -> Partition:

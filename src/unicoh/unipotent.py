@@ -19,11 +19,11 @@ from typing import NamedTuple
 from .partitions import (
     Bipartition,
     Partition,
+    core_quotient,
     from_core_quotient,
     hook_lengths,
     staircase,
     two_core,
-    two_quotient,
 )
 from .polynomial import IntPolynomial, two_term_ratio
 
@@ -138,11 +138,9 @@ def to_symbol(lam: Partition) -> SymbolLabel:
     """Translate a partition label of U_n(q) into its symbol triple.
 
     The bipartition is the 2-quotient, with the two components swapped when
-    the 2-core index t is odd.
+    the 2-core index t is odd; both come from one beta set of lam.
     """
-    lam = Partition(lam)
-    t = two_core(lam)
-    q0, q1 = two_quotient(lam)
+    t, (q0, q1) = core_quotient(lam)
     if t % 2 == 0:
         return SymbolLabel(t, q0, q1)
     return SymbolLabel(t, q1, q0)

@@ -13,17 +13,21 @@ that the per-class columns replaced, the per-cell index form
 the Euler sum over the first-page cells (`euler_sum_over_cells`) that
 verify_stratum's sum by exponent replaced.  `hc_index_dimension` is the
 Harish-Chandra index [G:P] of a stratum term's parabolic, from dense
-products.
+products.  `hc_induce_by_pieri_counter` repeats Harish-Chandra induction
+as plain iterated Pieri steps counted in a Counter, and
+`two_quotient_by_parity_split` reads the 2-quotient off its definition
+without the library's beta-set code.
 """
 
+from collections import Counter
 from functools import cache, reduce
 from itertools import permutations
 
-from unicoh import Bipartition, IntPolynomial, Partition, border_strips
+from unicoh import Bipartition, IntPolynomial, Partition, border_strips, pieri_induce
 from unicoh.weyl_characters import label_sort_key
 from unicoh.deligne_lusztig import coxeter_hook, stratum_term_dimension
 from unicoh.polynomial import linear_combination, prod, q_minus_one, q_minus_sign, two_term_ratio
-from unicoh.unipotent import _hooks_flat, a_exponent, symbol_degree
+from unicoh.unipotent import SymbolLabel, _hooks_flat, a_exponent, symbol_degree
 
 
 def partition_parts_by_loop(parts) -> tuple[int, ...]:
@@ -178,6 +182,20 @@ def sym_class_size_bruteforce(nu: Partition) -> int:
     return sum(1 for image in permutations(range(n)) if cycle_type(image) == target)
 
 
+def two_quotient_by_parity_split(lam: Partition) -> Bipartition:
+    """2-quotient by its definition: the beta values lambda_i + r - i at
+    r = len(lam) rows, split by parity and halved; each half read back as a
+    partition; the halves ordered by the parity of r."""
+    rows = len(lam)
+    values = [part + rows - 1 - i for i, part in enumerate(lam)]
+    runners = []
+    for parity in (0, 1):
+        halves = [v // 2 for v in values if v % 2 == parity]
+        runners.append(Partition([h - (len(halves) - 1 - i) for i, h in enumerate(halves)]))
+    even, odd = runners
+    return Bipartition(even, odd) if rows % 2 else Bipartition(odd, even)
+
+
 def domino_peeling_core(lam: Partition) -> Partition:
     """2-core by removing the first removable domino until none is left."""
     lam = Partition(lam)
@@ -235,6 +253,20 @@ def pieri_by_nested_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipa
         for second in strips(start.second, boxes - d)
     ]
     return tuple(sorted(results, key=label_sort_key))
+
+
+def hc_induce_by_pieri_counter(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> Counter:
+    """Harish-Chandra induction of `unitary` through GL blocks of the given
+    ranks: every block, rank zero too, is one `pieri_induce` of every
+    bipartition so far, and the multiplicities add up in a Counter."""
+    current = Counter({unitary.bipartition: 1})
+    for a in gl_ranks:
+        step: Counter = Counter()
+        for bip, mult in current.items():
+            for out in pieri_induce(bip, a):
+                step[out] += mult
+        current = step
+    return Counter({SymbolLabel(unitary.t, *bip): mult for bip, mult in current.items()})
 
 
 @cache

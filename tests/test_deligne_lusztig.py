@@ -142,6 +142,24 @@ class TestStratumTerm:
                         assert label.t == (1 if a % 2 == 0 else 2)
 
 
+class TestChainDifferences:
+    """`difference` skips the constructor's checks; on the chain terms it
+    cancels, its results must equal what the checked constructor builds."""
+
+    @pytest.mark.parametrize("theta", range(9))
+    def test_matches_the_checked_constructor(self, theta):
+        for a in range(2 * theta + 1):
+            chain = dl._eigen_chain(theta, a)
+            for left, right in [pair for x, y in zip(chain, chain[1:]) for pair in ((x, y), (y, x))]:
+                diff = left.difference(right)
+                expected = RepMultiset(
+                    {label: max(m - right.multiplicity(label), 0) for label, m in left.counts.items()}
+                )
+                assert diff == expected and diff.counts == expected.counts
+                assert all(type(m) is int and m > 0 for m in diff.counts.values())
+                assert diff.is_subset(left)
+
+
 class TestEOStratum:
     def test_point(self):
         table = eo_stratum_cohomology(0, 0)

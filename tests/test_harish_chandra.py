@@ -1,3 +1,7 @@
+from collections import Counter
+from itertools import product
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +22,12 @@ from unicoh.harish_chandra import add_horizontal_strips, remove_horizontal_strip
 from unicoh.unipotent import symbol
 from unicoh.weyl_characters import label_sort_key
 
-from oracles import pieri_by_nested_strips, unpruned_add_strips, unpruned_remove_strips
+from oracles import (
+    hc_induce_by_pieri_counter,
+    pieri_by_nested_strips,
+    unpruned_add_strips,
+    unpruned_remove_strips,
+)
 from strategies import bipartitions, partitions, partitions_up_to
 
 
@@ -151,6 +160,15 @@ class TestPieri:
         with pytest.raises(ValueError):
             pieri_restrict(Bipartition.of((1,), ()), 2)
 
+    def test_negative_boxes_raise(self):
+        # the strip functions are never reached with a negative count, so
+        # the Pieri functions check it themselves
+        label = Bipartition.of((2, 1), (1,))
+        with pytest.raises(ValueError, match="cannot add a negative number of boxes"):
+            pieri_induce(label, -1)
+        with pytest.raises(ValueError, match="cannot delete a negative number of boxes"):
+            pieri_restrict(label, -1)
+
     @given(bipartitions(max_part=4, max_rows=3), st.integers(min_value=0, max_value=3))
     @settings(max_examples=60)
     def test_multiplicity_free(self, label, s):
@@ -256,10 +274,75 @@ class TestOracle:
             )
 
 
+MAPPINGS = [dict, Counter, MappingProxyType]
+ITERABLES = [list, tuple, iter]
+
+
 class TestRepMultiset:
+    A, B, OTHER = symbol(1, (2,), ()), symbol(1, (1, 1), ()), symbol(2, (1,), ())
+
     def test_homogeneity_enforced(self):
         with pytest.raises(ValueError):
             RepMultiset([symbol(1, (1,), ()), symbol(2, (1,), ())])
+
+    @pytest.mark.parametrize("kind", MAPPINGS)
+    def test_mapping_drops_zeros(self, kind):
+        multiset = RepMultiset(kind({self.A: 0, self.B: 2}))
+        assert multiset.counts == {self.B: 2}
+        assert self.A not in multiset
+        assert RepMultiset(kind({self.A: 0})).counts == {}
+
+    @pytest.mark.parametrize("kind", MAPPINGS)
+    def test_mapping_rejects_negatives(self, kind):
+        with pytest.raises(ValueError, match="multiplicities must be nonnegative"):
+            RepMultiset(kind({self.A: 1, self.B: -1}))
+
+    @pytest.mark.parametrize("kind", MAPPINGS)
+    def test_mapping_rejects_mixed_supports(self, kind):
+        with pytest.raises(ValueError, match="mixed cuspidal supports"):
+            RepMultiset(kind({self.A: 1, self.OTHER: 1}))
+
+    @pytest.mark.parametrize("kind", MAPPINGS)
+    @pytest.mark.parametrize("mult", [1.5, 2.0, "3", None])
+    def test_mapping_rejects_multiplicities_that_are_not_integers(self, kind, mult):
+        with pytest.raises(TypeError):
+            RepMultiset(kind({self.A: 1, self.B: mult}))
+
+    @pytest.mark.parametrize("kind", MAPPINGS)
+    def test_mapping_stores_plain_ints(self, kind):
+        multiset = RepMultiset(kind({self.A: True, self.B: 2}))
+        assert multiset.counts == {self.A: 1, self.B: 2}
+        assert all(type(m) is int for m in multiset.counts.values())
+        assert multiset.to_json()[0]["multiplicity"] == 1
+        assert type(multiset.to_json()[0]["multiplicity"]) is int
+        assert RepMultiset(kind({self.A: False})).counts == {}
+
+    @pytest.mark.parametrize("kind", ITERABLES)
+    def test_iterable_counts_labels(self, kind):
+        multiset = RepMultiset(kind([self.A, self.B, self.A]))
+        assert multiset.counts == {self.A: 2, self.B: 1}
+        assert RepMultiset(kind([])).counts == {}
+
+    @pytest.mark.parametrize("kind", ITERABLES)
+    def test_iterable_rejects_mixed_supports(self, kind):
+        with pytest.raises(ValueError, match="mixed cuspidal supports"):
+            RepMultiset(kind([self.A, self.OTHER]))
+
+    @pytest.mark.parametrize("kind", ITERABLES)
+    def test_iterable_rejects_elements_that_are_not_labels(self, kind):
+        for bad in (1.5, "3"):
+            with pytest.raises(AttributeError):
+                RepMultiset(kind([self.A, bad]))
+
+    def test_difference_is_a_checked_multiset(self):
+        left = RepMultiset({self.A: 3, self.B: 1})
+        diff = left.difference(RepMultiset({self.A: 1, self.B: 4}))
+        assert diff.counts == {self.A: 2}
+        assert diff == RepMultiset({self.A: 2})
+        assert left.difference(RepMultiset()) == left
+        assert left.difference(left).counts == {}
+        with pytest.raises(AttributeError, match="immutable"):
+            diff.counts = {}
 
     def test_union_difference_intersection(self):
         a, b = symbol(1, (2,), ()), symbol(1, (1, 1), ())
@@ -309,6 +392,21 @@ class TestHCInduce:
         for out in result:
             assert out.rank == 3 + 2 * (2 + 1) == 9
             assert out.t == 2
+
+    def test_blocks_match_counter_oracle(self):
+        # two or three GL blocks: after the first, every label of the block
+        # before feeds the next one, so outputs merge into the plain dict
+        blocks = [b for r in (2, 3) for b in product(range(4), repeat=r) if sum(b) <= 3]
+        merged = 0
+        for t in range(3):
+            for n in range(5):
+                for bip in bipartitions_of(n):
+                    unitary = symbol(t, bip.first, bip.second)
+                    for gl_ranks in blocks:
+                        result = hc_induce(unitary, gl_ranks)
+                        assert result.counts == dict(hc_induce_by_pieri_counter(unitary, gl_ranks))
+                        merged += not result.is_multiplicity_free()
+        assert merged > 0
 
     def test_two_gl_one_blocks_multiplicity(self):
         # two rank-1 blocks over the empty core: the two-dimensional label

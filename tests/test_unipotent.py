@@ -12,6 +12,7 @@ from unicoh import (
     ExactDivisionError,
     IntPolynomial,
     Partition,
+    core_quotient,
     cuspidal_partition,
     degree_gl,
     degree_u,
@@ -24,10 +25,15 @@ from unicoh import (
     two_quotient,
 )
 from unicoh import unipotent
-from unicoh.deligne_lusztig import _stratum_term_explicit, _stratum_term_pieri, stratum_cohomology
+from unicoh.deligne_lusztig import (
+    _stratum_term_explicit,
+    _stratum_term_pieri,
+    coxeter_hook,
+    stratum_cohomology,
+)
 from unicoh.unipotent import SymbolLabel, a_exponent, symbol
 
-from oracles import diagram_hooks, hook_formula_degree, syt_count
+from oracles import diagram_hooks, hook_formula_degree, syt_count, two_quotient_by_parity_split
 from strategies import partitions_up_to
 
 
@@ -222,6 +228,32 @@ class TestSymbolTranslation:
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             symbol(-1, (), ())
+
+
+class TestOneBetaSetTranslation:
+    """core_quotient reads the 2-core index and the 2-quotient off one beta
+    set, and to_symbol takes both from it."""
+
+    @staticmethod
+    def check(lam):
+        t, quotient = core_quotient(lam)
+        assert t == two_core(lam)
+        assert quotient == two_quotient(lam) == two_quotient_by_parity_split(lam)
+        assert core_quotient(lam, len(lam) + 1) == core_quotient(lam, len(lam) + 2) == (t, quotient)
+        first, second = quotient if t % 2 == 0 else quotient[::-1]
+        sym = to_symbol(lam)
+        assert (sym.t, sym.alpha, sym.beta) == (t, first, second)
+        assert sym.rank == lam.size
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_every_partition(self, n):
+        for lam in partitions_of(n):
+            self.check(lam)
+
+    def test_coxeter_hooks(self):
+        for k in range(31):
+            for a in range(2 * k + 1):
+                self.check(coxeter_hook(k, a))
 
 
 class TestStoredRankAndHash:
