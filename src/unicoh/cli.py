@@ -3,9 +3,11 @@
 Partitions are written as comma-separated descending integers (empty string
 for the empty partition), bipartitions as two partitions separated by a
 slash, e.g. ``3,1,1/4,2``.  Each subcommand handler ``cmd_*(args)`` reads the
-parsed arguments and returns one `Document`.  Exit status: 0 on success, 2 on
+parsed arguments, computes its result and returns one `Document`, which builds
+only the output form that is printed.  Exit status: 0 on success, 2 on
 bad arguments or an exceeded ``--max-*`` cap, 1 when a verification run
-reports a failure or the library raises any other exception inside a handler.
+reports a failure or any other exception is raised inside a handler or while
+formatting its output.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import os
 import sys
 import time
 from math import factorial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import deligne_lusztig as dl
 from . import harish_chandra as hc
@@ -104,22 +106,24 @@ def _fmt_labels(reps: hc.RepMultiset) -> str:
 
 
 class Document(NamedTuple):
-    """One rendered result: pretty text, JSON object, optional CSV rows, exit status."""
+    """One result, held as how to build each form: zero-argument callables for
+    the pretty text, the JSON object and the optional CSV rows, plus the exit
+    status.  `render` builds only the form it is asked for."""
 
-    text: str
-    payload: object
-    rows: list[list] | None = None
+    text: Callable[[], str]
+    payload: Callable[[], object]
+    rows: Callable[[], list[list]] | None = None
     status: int = 0
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.payload, indent=2)
+            return json.dumps(self.payload(), indent=2)
         if fmt == "csv":
-            rows = self.rows if self.rows is not None else [[self.text]]
+            rows = self.rows() if self.rows is not None else [[self.text()]]
             buf = io.StringIO()
             csv.writer(buf).writerows(rows)
             return buf.getvalue().rstrip("\n")
-        return self.text
+        return self.text()
 
 
 def _check_cap(args, name: str, value: int, what: str) -> None:
@@ -152,8 +156,8 @@ def cmd_char_sym(args) -> Document:
         raise CliError(f"|lambda| = {lam.size} but |class| = {klass.size}")
     value = wc.chi_sym(lam, klass)
     return Document(
-        text=str(value),
-        payload={"lambda": list(lam), "class": list(klass), "value": str(value)},
+        text=lambda: str(value),
+        payload=lambda: {"lambda": list(lam), "class": list(klass), "value": str(value)},
     )
 
 
@@ -163,8 +167,8 @@ def cmd_char_b(args) -> Document:
         raise CliError(f"|label| = {label.size} but |class| = {klass.size}")
     value = wc.chi_typeb(label, klass)
     return Document(
-        text=str(value),
-        payload={
+        text=lambda: str(value),
+        payload=lambda: {
             "label": [list(label.first), list(label.second)],
             "class": [list(klass.first), list(klass.second)],
             "value": str(value),
@@ -191,27 +195,39 @@ def cmd_table(args) -> Document:
             return _compact([list(item.first), list(item.second)])
         return _compact(list(item))
 
-    lines = [f"character table {table.group} (order {table.group_order})"]
-    lines.append("classes:     " + "  ".join(show(c) for c in table.classes))
-    lines.append("class sizes: " + "  ".join(str(s) for s in table.class_sizes))
-    for label, row in zip(table.labels, table.values):
-        lines.append(f"{show(label)}: " + "  ".join(str(v) for v in row))
-    rows: list[list] = [["label"] + [show(c) for c in table.classes]]
-    rows.append(["class_size"] + [str(s) for s in table.class_sizes])
-    for label, row in zip(table.labels, table.values):
-        rows.append([show(label)] + [str(v) for v in row])
-    return Document(text="\n".join(lines), payload=table.to_json(), rows=rows)
+    def text() -> str:
+        lines = [f"character table {table.group} (order {table.group_order})"]
+        lines.append("classes:     " + "  ".join(show(c) for c in table.classes))
+        lines.append("class sizes: " + "  ".join(str(s) for s in table.class_sizes))
+        for label, row in zip(table.labels, table.values):
+            lines.append(f"{show(label)}: " + "  ".join(str(v) for v in row))
+        return "\n".join(lines)
+
+    def rows() -> list[list]:
+        out: list[list] = [["label"] + [show(c) for c in table.classes]]
+        out.append(["class_size"] + [str(s) for s in table.class_sizes])
+        for label, row in zip(table.labels, table.values):
+            out.append([show(label)] + [str(v) for v in row])
+        return out
+
+    return Document(text=text, payload=table.to_json, rows=rows)
 
 
 def cmd_degree(args) -> Document:
     lam = parse_partition(args.lam)
     poly = degree_u(lam) if args.group == "u" else degree_gl(lam)
-    payload = {"group": args.group, "partition": list(lam), "degree": poly.to_json()}
-    text = str(poly)
-    if args.at is not None:
-        value = poly(args.at)
-        payload["at"] = {"q": args.at, "value": str(value)}
-        text += f"\nat q={args.at}: {value}"
+    value = poly(args.at) if args.at is not None else None
+
+    def text() -> str:
+        shown = str(poly)
+        return shown if value is None else f"{shown}\nat q={args.at}: {value}"
+
+    def payload() -> dict:
+        shown = {"group": args.group, "partition": list(lam), "degree": poly.to_json()}
+        if value is not None:
+            shown["at"] = {"q": args.at, "value": str(value)}
+        return shown
+
     return Document(text=text, payload=payload)
 
 
@@ -219,8 +235,8 @@ def cmd_two_core(args) -> Document:
     lam = parse_partition(args.lam)
     cq = core_quotient(lam)
     return Document(
-        text=f"core t={cq.core_index}, core partition {_compact(list(staircase(cq.core_index)))}",
-        payload={"lambda": list(lam), "t": cq.core_index, "core": list(staircase(cq.core_index))},
+        text=lambda: f"core t={cq.core_index}, core partition {_compact(list(staircase(cq.core_index)))}",
+        payload=lambda: {"lambda": list(lam), "t": cq.core_index, "core": list(staircase(cq.core_index))},
     )
 
 
@@ -229,8 +245,8 @@ def cmd_two_quotient(args) -> Document:
     cq = core_quotient(lam)
     quotient = [list(cq.quotient.first), list(cq.quotient.second)]
     return Document(
-        text=f"core t={cq.core_index}, quotient {_compact(quotient)}",
-        payload={"lambda": list(lam), "t": cq.core_index, "quotient": quotient},
+        text=lambda: f"core t={cq.core_index}, quotient {_compact(quotient)}",
+        payload=lambda: {"lambda": list(lam), "t": cq.core_index, "quotient": quotient},
     )
 
 
@@ -238,8 +254,8 @@ def cmd_reconstruct(args) -> Document:
     quotient = parse_bipartition(args.quotient)
     lam = from_core_quotient(args.t, quotient)
     return Document(
-        text=_compact(list(lam)),
-        payload={
+        text=lambda: _compact(list(lam)),
+        payload=lambda: {
             "t": args.t,
             "quotient": [list(quotient.first), list(quotient.second)],
             "lambda": list(lam),
@@ -252,14 +268,17 @@ def cmd_label(args) -> Document:
         _reject_unread(args, "t", "alpha", "beta", when="with --lambda")
         lam = parse_partition(args.lam)
         sym = to_symbol(lam)
-        text = f"symbol t={sym.t}, alpha {_compact(list(sym.alpha))}, beta {_compact(list(sym.beta))}"
-        return Document(text=text, payload={"partition": list(lam), "symbol": sym.to_json()})
+        return Document(
+            text=lambda: f"symbol t={sym.t}, alpha {_compact(list(sym.alpha))}, beta {_compact(list(sym.beta))}",
+            payload=lambda: {"partition": list(lam), "symbol": sym.to_json()},
+        )
     if args.t is None or args.alpha is None or args.beta is None:
         raise CliError("provide either --lambda, or all of --t, --alpha, --beta")
     sym = SymbolLabel(args.t, parse_partition(args.alpha), parse_partition(args.beta))
     lam = from_symbol(sym)
     return Document(
-        text=_compact(list(lam)), payload={"symbol": sym.to_json(), "partition": list(lam)}
+        text=lambda: _compact(list(lam)),
+        payload=lambda: {"symbol": sym.to_json(), "partition": list(lam)},
     )
 
 
@@ -267,13 +286,12 @@ def cmd_series(args) -> Document:
     lam = parse_partition(args.lam)
     series = hc_series(lam)
     cuspidal = cuspidal_partition(series.n)
-    text = (
-        f"t={series.t}, n={series.n}, weyl rank a={series.weyl_rank}, "
-        f"principal={series.principal}, cuspidal={series.cuspidal}"
-    )
     return Document(
-        text=text,
-        payload={
+        text=lambda: (
+            f"t={series.t}, n={series.n}, weyl rank a={series.weyl_rank}, "
+            f"principal={series.principal}, cuspidal={series.cuspidal}"
+        ),
+        payload=lambda: {
             "lambda": list(lam),
             "t": series.t,
             "n": series.n,
@@ -299,9 +317,9 @@ def cmd_pieri(args) -> Document:
         op = {"remove": args.remove}
     shown = [[list(b.first), list(b.second)] for b in outs]
     return Document(
-        text="\n".join(_compact(b) for b in shown),
-        payload={"label": [list(label.first), list(label.second)], **op, "result": shown},
-        rows=[[_compact(b)] for b in shown],
+        text=lambda: "\n".join(_compact(b) for b in shown),
+        payload=lambda: {"label": [list(label.first), list(label.second)], **op, "result": shown},
+        rows=lambda: [[_compact(b)] for b in shown],
     )
 
 
@@ -316,14 +334,14 @@ def cmd_induce(args) -> Document:
     result = hc.hc_induce(sym, gl_ranks)
     n = sym.rank + 2 * sum(gl_ranks)
     return Document(
-        text=f"U_{n}(q) constituents: {_fmt_labels(result)}",
-        payload={
+        text=lambda: f"U_{n}(q) constituents: {_fmt_labels(result)}",
+        payload=lambda: {
             "levi": {"unitary_rank": sym.rank, "gl_ranks": list(gl_ranks)},
             "label": sym.to_json(),
             "n": n,
             "result": result.to_json(),
         },
-        rows=[
+        rows=lambda: [
             [out.t, _compact(list(out.alpha)), _compact(list(out.beta)), result.multiplicity(out)]
             for out in result.sorted_labels()
         ],
@@ -331,13 +349,20 @@ def cmd_induce(args) -> Document:
 
 
 def _cohomology_document(table: dl.CohomologyTable) -> Document:
-    lines = [f"variety: {table.variety}"]
-    rows: list[list] = [["degree", "frobenius_exponent", "constituents"]]
-    for entry in table.entries:
-        shown = _fmt_labels(entry.constituents)
-        lines.append(f"H^{entry.degree}  (-q)^{entry.frobenius_exponent}  {shown}")
-        rows.append([entry.degree, entry.frobenius_exponent, shown])
-    return Document(text="\n".join(lines), payload=table.to_json(), rows=rows)
+    def text() -> str:
+        lines = [f"variety: {table.variety}"]
+        for entry in table.entries:
+            shown = _fmt_labels(entry.constituents)
+            lines.append(f"H^{entry.degree}  (-q)^{entry.frobenius_exponent}  {shown}")
+        return "\n".join(lines)
+
+    def rows() -> list[list]:
+        out: list[list] = [["degree", "frobenius_exponent", "constituents"]]
+        for entry in table.entries:
+            out.append([entry.degree, entry.frobenius_exponent, _fmt_labels(entry.constituents)])
+        return out
+
+    return Document(text=text, payload=table.to_json, rows=rows)
 
 
 def cmd_coxeter(args) -> Document:
@@ -430,12 +455,11 @@ def cmd_verify(args) -> Document:
             checks.extend(dl.verify_stratum(theta).checks)
 
     ok = all(c.passed for c in checks)
-    lines = [c.line() for c in checks]
-    lines.append(f"{'OK' if ok else 'FAILED'}: {sum(c.passed for c in checks)}/{len(checks)} checks passed")
+    summary = f"{'OK' if ok else 'FAILED'}: {sum(c.passed for c in checks)}/{len(checks)} checks passed"
     return Document(
-        text="\n".join(lines),
-        payload={"ok": ok, "checks": [c.to_json() for c in checks]},
-        rows=[["status", "check"]] + [["PASS" if c.passed else "FAIL", c.name] for c in checks],
+        text=lambda: "\n".join([*(c.line() for c in checks), summary]),
+        payload=lambda: {"ok": ok, "checks": [c.to_json() for c in checks]},
+        rows=lambda: [["status", "check"]] + [["PASS" if c.passed else "FAIL", c.name] for c in checks],
         status=0 if ok else 1,
     )
 
@@ -548,6 +572,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         check_nonnegative(args)
         doc = args.handler(args)
+        computed = time.monotonic() - started
+        # inside the try, so a formatting fault is reported like any other
+        rendered = doc.render(args.format)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -559,9 +586,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal failure: {exc}", file=sys.stderr)
         return 1
     if args.verbose and not args.quiet:
-        print(f"computed in {time.monotonic() - started:.3f}s", file=sys.stderr)
+        print(f"computed in {computed:.3f}s", file=sys.stderr)
 
-    rendered = doc.render(args.format)
     if args.out:
         try:
             with open(args.out, "w") as fh:

@@ -141,7 +141,8 @@ class RepMultiset:
 
     All labels must share the same cuspidal support t and ambient rank n.
     Multiplicities must be integers (`operator.index`): a float or a string
-    raises TypeError.  Zero multiplicities are dropped.
+    raises TypeError, and so does an element or key that is not a label.
+    Zero multiplicities are dropped.
     """
 
     __slots__ = ("counts",)
@@ -160,7 +161,13 @@ class RepMultiset:
                 raise ValueError("multiplicities must be nonnegative")
         else:
             counts = dict(Counter(items))  # every count is a positive int
-        supports = set(map(attrgetter("t", "rank"), counts))
+        try:
+            supports = set(map(attrgetter("t", "rank"), counts))
+        except AttributeError:
+            for label in counts:
+                if not isinstance(label, SymbolLabel):
+                    raise TypeError(f"a RepMultiset holds symbol labels, not {label!r}") from None
+            raise
         if len(supports) > 1:
             raise ValueError(f"mixed cuspidal supports in one multiset: {supports}")
         object.__setattr__(self, "counts", counts)

@@ -5,9 +5,11 @@ Murnaghan-Nakayama rule (strip removal with alternating signs), one class
 column at a time: `typeb_column(klass)` holds the value of every label of
 W_a at klass and is built by one strip-removal step from the column of the
 class with its last cycle removed.  `chi_typeb` reads its value from that
-column.  A symmetric-group value is the type-B value at (lam, empty),
-(nu, empty).  A brute-force signed-permutation model of the type-B group is
-provided as an independent oracle for small rank.
+column, and the W_a character table reads each class's whole column once,
+so its values do not pass through `chi_typeb`.  A symmetric-group value is
+the type-B value at (lam, empty), (nu, empty); the S_n table reads them one
+`chi_sym` value at a time.  A brute-force signed-permutation model of the
+type-B group is provided as an independent oracle for small rank.
 """
 
 from __future__ import annotations
@@ -244,23 +246,33 @@ class CharacterTable(NamedTuple):
         }
 
 
-def _character_table(group: str, labels, class_size, chi) -> CharacterTable:
-    """Square table: labels and classes are both `labels` in `label_sort_key` order."""
+def _character_table(group: str, labels, class_size, column) -> CharacterTable:
+    """Square table: labels and classes are both `labels` in `label_sort_key`
+    order.  `column(klass)` maps every label to its value at klass and is read
+    once per class."""
     labels = tuple(sorted(labels, key=label_sort_key))
+    columns = [tuple(map(column(k).__getitem__, labels)) for k in labels]
     return CharacterTable(
         group=group,
         labels=labels,
         classes=labels,
         class_sizes=tuple(class_size(k) for k in labels),
-        values=tuple(tuple(chi(lam, k) for k in labels) for lam in labels),
+        values=tuple(zip(*columns)),
     )
+
+
+def _sym_column(nu: Partition) -> dict[Partition, int]:
+    # one chi_sym value per label, so a fault in chi_sym or chi_typeb shows here
+    return {lam: chi_sym(lam, nu) for lam in partitions_of(nu.size)}
 
 
 def character_table_sym(n: int) -> CharacterTable:
     """Full character table of the symmetric group on n letters."""
-    return _character_table(f"S{n}", partitions_of(n), sym_class_size, chi_sym)
+    return _character_table(f"S{n}", partitions_of(n), sym_class_size, _sym_column)
 
 
 def character_table_typeb(a: int) -> CharacterTable:
-    """Full character table of the hyperoctahedral group W_a."""
-    return _character_table(f"W{a}", labels_typeb(a), typeb_class_size, chi_typeb)
+    """Full character table of the hyperoctahedral group W_a, read from the
+    memoised class columns: the module-level `typeb_column` is looked up at
+    call time, and no value goes through `chi_typeb`."""
+    return _character_table(f"W{a}", labels_typeb(a), typeb_class_size, typeb_column)

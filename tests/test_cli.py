@@ -377,6 +377,36 @@ class TestSymThroughTypeB:
         assert not wc.character_table_sym(3).is_orthogonal(6)
 
 
+class TestColumnFaultReachesTypeBTable:
+    # a class of rank 3: no column of the W_3 table is built from its column,
+    # so only the table's own lookup of typeb_column can carry the fault
+    LABEL, KLASS = Bipartition.of((2,), (1,)), Bipartition.of((1,), (1, 1))
+
+    def test_table_reads_columns_not_single_values(self, character_caches):
+        character_caches()
+        wc.character_table_typeb(3)
+        assert wc.typeb_column.cache_info().currsize > 0
+        assert wc.chi_typeb.cache_info().currsize == 0
+
+    def test_column_fault_reaches_typeb_table(self, capsys, monkeypatch, character_caches):
+        # the W_a table looks typeb_column up at call time, so a wrapped
+        # column reaches it, and the orthogonality checks of verify with it
+        clean = wc.character_table_typeb(3)
+        original = wc.typeb_column
+
+        def broken(klass):
+            column = original(klass)
+            if klass == self.KLASS:
+                return {**column, self.LABEL: column[self.LABEL] + 1}
+            return column
+
+        monkeypatch.setattr(wc, "typeb_column", broken)
+        character_caches()
+        assert wc.character_table_typeb(3).values != clean.values
+        status, _, _ = run(capsys, "verify", "-q")
+        assert status == 1
+
+
 class TestHorizontalStripCacheFault:
     def test_strip_fault_behind_warm_cache_flips_verify(self, capsys, monkeypatch, character_caches):
         assert dl.verify_stratum(3).ok
@@ -699,6 +729,81 @@ class TestSymTableGolden:
         out = capsys.readouterr().out
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.S8_JSON_SHA256
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestTextAndCsvDigests:
+    # stdout sha256 of the text and CSV forms, recorded while every handler
+    # still built all three forms
+    DIGESTS = {
+        ("table", "--group", "b", "--a", "7", "--max-a", "7", "-q", "--format", "table"):
+            "c3b6863e77c1fdd9b86d2913d117153d6fe27f3c1d626b6a65d0427192133f6f",
+        ("table", "--group", "b", "--a", "7", "--max-a", "7", "-q", "--format", "csv"):
+            "f375012ebe4ad1c6db0ee31bbd2aeb658a2e715565beb7f8d8cc59e3fd745ae1",
+        ("stratum", "--theta", "8", "-q", "--format", "table"):
+            "cc3d5ff4475fd11706dd5b0671387e00504671956273f41e0073fe1e2f78b611",
+        ("stratum", "--theta", "8", "-q", "--format", "csv"):
+            "33cd12c0f48372a633d73d5662e9fcd80338453b05d3c0463d41d5feac53b773",
+        ("verify", "-q", "--format", "table"):
+            "2c42daf635b4d822196b861e6078e13856cb4804071c939d1eb6912dfbaba9fb",
+        ("verify", "-q", "--format", "csv"):
+            "9785dafc64fcca0ab763999ad730a15b71d58d7de63b5090f6136968b2fbe845",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(DIGESTS))
+    def test_stdout_matches_digest(self, capsys, argv):
+        status = main(list(argv))
+        assert status == 0
+        assert _sha256(capsys.readouterr().out) == self.DIGESTS[argv]
+
+
+class TestOneFormPerRun:
+    """`render` builds only the requested form, and a fault while building it
+    is an internal failure like any other."""
+
+    STRATUM_3_JSON = "40409160726bc65c9078779c68b2bb66c194040636d8caf26af451e530d866d7"
+    COXETER_3_JSON = "32561213fe0ddbe1923e6d9e86fe094571a5ab90df5c3082050ef56f7296ede3"
+    STRATUM_3_TEXT = "e3d08066685644d20cca537f2905ed6176fdc26f47a527215f5bb52405b8e654"
+    STRATUM_3_CSV = "b4d3376553a40a16c0d10aad5eb27f75d7d12493c2b44c28f3083598a4669423"
+
+    @staticmethod
+    def failing(*args):
+        raise RuntimeError("injected formatting fault")
+
+    def test_json_runs_format_no_labels(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_fmt_labels", self.failing)
+        for argv, digest in (
+            (("stratum", "--theta", "3", "--format", "json"), self.STRATUM_3_JSON),
+            (("coxeter", "--k", "3", "-q", "--format", "json"), self.COXETER_3_JSON),
+        ):
+            assert main(list(argv)) == 0
+            assert _sha256(capsys.readouterr().out) == digest
+
+    def test_json_table_run_builds_no_cells(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_compact", self.failing)
+        status, out, _ = run(capsys, "table", "--group", "b", "--a", "3", "--format", "json")
+        assert status == 0
+        assert json.loads(out) == wc.character_table_typeb(3).to_json()
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_formatting_fault_is_internal_failure(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "_fmt_labels", self.failing)
+        status, out, err = run(capsys, "stratum", "--theta", "3", "-v", "--format", fmt)
+        assert status == 1
+        assert out == ""
+        assert err == "internal failure: injected formatting fault\n"
+
+    def test_text_and_csv_runs_build_no_payload(self, capsys, monkeypatch):
+        monkeypatch.setattr(dl.CohomologyTable, "to_json", self.failing)
+        monkeypatch.setattr(dl.CheckResult, "to_json", self.failing)
+        for fmt, digest in (("table", self.STRATUM_3_TEXT), ("csv", self.STRATUM_3_CSV)):
+            assert main(["stratum", "--theta", "3", "-q", "--format", fmt]) == 0
+            assert _sha256(capsys.readouterr().out) == digest
+            status, out, _ = run(capsys, "verify", "--theta", "3", "--format", fmt)
+            assert status == 0 and "FAIL" not in out
 
 
 class TestBrokenPipe:

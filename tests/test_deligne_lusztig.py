@@ -513,6 +513,27 @@ class TestStratumCohomology:
                     ]
 
 
+class TestTwoHarishChandraSeries:
+    """The abstract's headline, read off the engine's table: every constituent
+    of H^*(Y_theta) lies in one of two unipotent Harish-Chandra series.  Even
+    degrees hold the principal series (t = 1), odd degrees the series of the
+    cuspidal (2,1) of U_3 (t = 2).  `hc_series` recomputes the 2-core from the
+    partition, so it does not read the label's stored t.  A label fault that
+    this sees also fails the comparison with the closed formula."""
+
+    @pytest.mark.parametrize("theta", range(13))
+    def test_even_degrees_principal_odd_degrees_t2(self, theta):
+        total = 0
+        for entry in stratum_cohomology(theta).entries:
+            expected = (2, False, theta - 1) if entry.degree % 2 else (1, True, theta)
+            for label, mult in entry.constituents.counts.items():
+                series = unipotent.hc_series(from_symbol(label))
+                assert series.n == 2 * theta + 1
+                assert (series.t, series.principal, series.weyl_rank) == expected
+                total += mult
+        assert total == (theta + 1) * (theta + 2) // 2
+
+
 class TestVerifyStratum:
     @pytest.mark.parametrize("theta", range(0, 7))
     def test_all_five_checks_pass(self, theta):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import product
 from types import MappingProxyType
@@ -331,8 +332,14 @@ class TestRepMultiset:
     @pytest.mark.parametrize("kind", ITERABLES)
     def test_iterable_rejects_elements_that_are_not_labels(self, kind):
         for bad in (1.5, "3"):
-            with pytest.raises(AttributeError):
+            with pytest.raises(TypeError, match=re.escape(f"holds symbol labels, not {bad!r}")):
                 RepMultiset(kind([self.A, bad]))
+
+    @pytest.mark.parametrize("kind", MAPPINGS)
+    def test_mapping_rejects_keys_that_are_not_labels(self, kind):
+        for bad in (1.5, "3", (1, (2,), ())):
+            with pytest.raises(TypeError, match=re.escape(f"holds symbol labels, not {bad!r}")):
+                RepMultiset(kind({self.A: 1, bad: 2}))
 
     def test_difference_is_a_checked_multiset(self):
         left = RepMultiset({self.A: 3, self.B: 1})

@@ -44,7 +44,7 @@ RECORDS = {
     "CheckResult": (lambda: CheckResult("name", False, "details"), "passed"),
     "StratumVerification": (lambda: verify_stratum(2), "checks"),
     "CharacterTable": (lambda: character_table_typeb(2), "values"),
-    "Document": (lambda: Document("text", "payload", None, 1), "status"),
+    "Document": (lambda: Document(str, dict, None, 1), "status"),
 }
 
 

@@ -256,6 +256,15 @@ class TestCharacterTables:
         tampered = typeb._replace(values=tuple(tuple(row) for row in rows))
         assert not tampered.is_orthogonal(2**3 * factorial(3))
 
+    @pytest.mark.parametrize("a", range(1, 6))
+    def test_table_rows_are_labels_and_columns_are_classes(self, a):
+        # the W_a table reads whole class columns; each entry must still be
+        # the single value chi_typeb(label, class), and likewise for S_a
+        for table, chi in ((character_table_typeb(a), chi_typeb), (character_table_sym(a), chi_sym)):
+            assert table.values == tuple(
+                tuple(chi(label, klass) for klass in table.classes) for label in table.labels
+            )
+
     def test_label_order_is_documented_total_order(self):
         labels = [Partition(p) for p in ((3,), (2, 1), (1, 1, 1))]
         assert sorted(labels, key=label_sort_key) == labels
