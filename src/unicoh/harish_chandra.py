@@ -10,11 +10,11 @@ character tables cross-checks the rule at small rank.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cache, partial
 from itertools import chain, repeat, starmap
 from math import factorial
 from operator import attrgetter, index, is_not, le
-from typing import Iterable, Iterator, Mapping
 
 from .errors import RankCapError
 from . import weyl_characters

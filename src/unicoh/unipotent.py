@@ -134,16 +134,30 @@ def symbol(t: int, alpha: Partition, beta: Partition) -> SymbolLabel:
     return SymbolLabel(t, alpha, beta)
 
 
+@cache
+def _to_symbol(lam: Partition) -> SymbolLabel:
+    t, (q0, q1) = core_quotient(lam)
+    if t % 2 == 0:
+        return symbol(t, q0, q1)
+    return symbol(t, q1, q0)
+
+
 def to_symbol(lam: Partition) -> SymbolLabel:
     """Translate a partition label of U_n(q) into its symbol triple.
 
     The bipartition is the 2-quotient, with the two components swapped when
     the 2-core index t is odd; both come from one beta set of lam.
+
+    Memoised per partition, like its inverse `from_symbol`: lam is made a
+    Partition first (so a list or a tuple with trailing zeros finds the same
+    entry), and the label returned is the `symbol` memo's object.
+    `cache_info` and `cache_clear` are those of the memo.
     """
-    t, (q0, q1) = core_quotient(lam)
-    if t % 2 == 0:
-        return SymbolLabel(t, q0, q1)
-    return SymbolLabel(t, q1, q0)
+    return _to_symbol(Partition(lam))
+
+
+to_symbol.cache_info = _to_symbol.cache_info
+to_symbol.cache_clear = _to_symbol.cache_clear
 
 
 @cache

@@ -323,6 +323,7 @@ MEMOISED = (
     hc.add_horizontal_strips,
     hc.remove_horizontal_strips,
     unipotent.from_symbol,
+    unipotent.to_symbol,
     unipotent.symbol,
     partitions.partition,
     dl.index_form_row,

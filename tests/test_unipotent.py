@@ -16,6 +16,7 @@ from unicoh import (
     cuspidal_partition,
     degree_gl,
     degree_u,
+    from_core_quotient,
     from_symbol,
     hc_series,
     partitions_of,
@@ -30,6 +31,7 @@ from unicoh.deligne_lusztig import (
     _stratum_term_pieri,
     coxeter_hook,
     stratum_cohomology,
+    verify_stratum,
 )
 from unicoh.unipotent import SymbolLabel, a_exponent, symbol
 
@@ -255,6 +257,15 @@ class TestOneBetaSetTranslation:
             for a in range(2 * k + 1):
                 self.check(coxeter_hook(k, a))
 
+    @pytest.mark.parametrize("t", [30, 31])
+    def test_deep_core_round_trip(self, t):
+        # no partition above has a 2-core index of 30 or more
+        lam = from_core_quotient(t, Bipartition.of((2,), (1, 1)))
+        self.check(lam)
+        alpha, beta = ((2,), (1, 1)) if t % 2 == 0 else ((1, 1), (2,))
+        assert to_symbol(lam) is symbol(t, alpha, beta)
+        assert from_symbol(to_symbol(lam)) == lam
+
 
 class TestStoredRankAndHash:
     """SymbolLabel keeps its rank and hash from construction; nothing else
@@ -315,10 +326,12 @@ class TestSymbolMemo:
         # occurs with t = 1 at one rank and t = 2 two ranks up
         for theta in range(9):
             for lam in partitions_of(2 * theta + 1):
-                built = to_symbol(lam)
+                t, (q0, q1) = core_quotient(lam)
+                built = SymbolLabel(t, q0, q1) if t % 2 == 0 else SymbolLabel(t, q1, q0)
                 memo = symbol(built.t, built.alpha, built.beta)
                 assert memo == built and hash(memo) == hash(built) and memo.rank == built.rank
                 assert symbol(built.t, tuple(built.alpha), tuple(built.beta)) is memo
+                assert to_symbol(lam) is memo
 
     def test_second_page_is_all_hits(self):
         stratum_cohomology(12)
@@ -331,6 +344,47 @@ class TestSymbolMemo:
     def test_both_paths_share_label_objects(self, cell):
         pieri, explicit = _stratum_term_pieri(*cell), _stratum_term_explicit(*cell)
         assert {id(label) for label in pieri.counts} == {id(label) for label in explicit.counts}
+
+
+class TestToSymbolMemo:
+    """`to_symbol` translates each partition once per process and returns
+    the `symbol` memo's label."""
+
+    @pytest.fixture
+    def cleared_after(self):
+        yield
+        to_symbol.cache_clear()
+
+    def test_list_and_padded_tuple_find_the_partition(self):
+        lam = Partition((4, 2, 2, 1))
+        sym = to_symbol(lam)
+        assert to_symbol([4, 2, 2, 1]) is sym
+        assert to_symbol((4, 2, 2, 1, 0, 0)) is sym
+        assert sym is symbol(sym.t, sym.alpha, sym.beta)
+
+    def test_second_page_adds_no_miss(self):
+        stratum_cohomology(12)
+        before = to_symbol.cache_info()
+        stratum_cohomology(12)
+        after = to_symbol.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+
+    def test_translation_fault_behind_warm_memo(self, monkeypatch, cleared_after):
+        assert verify_stratum(4).ok
+        clean = stratum_cohomology(4)
+        original = unipotent.core_quotient
+
+        def swapped(lam, rows=None):
+            t, (q0, q1) = original(lam, rows)
+            return t, Bipartition(q1, q0)
+
+        monkeypatch.setattr(unipotent, "core_quotient", swapped)
+        # every hook and closed-formula label of theta = 4 is already
+        # translated: the fault is not seen yet
+        assert stratum_cohomology(4) == clean
+        assert verify_stratum(4).ok
+        to_symbol.cache_clear()
+        assert verify_stratum(4).ok is False
 
 
 class TestSeries:
