@@ -54,8 +54,8 @@ BROKEN_PIPE_STATUS = 141
 # largest Weyl-group rank of the character and induction cross-checks in `verify`
 FOUNDATION_RANK = 3
 
-# deepest theta and k of the plain `verify` sweep; a lowered --max-theta/--max-k
-# lowers it, and a higher one exits 2
+# deepest theta and k of the plain `verify` sweep unless --max-theta/--max-k
+# gives another depth
 SWEEP_DEPTH = 6
 
 
@@ -440,12 +440,7 @@ def cmd_verify(args) -> Document:
     if args.theta is None and args.k is None:
         depth = {name: getattr(args, f"max_{name}", SWEEP_DEPTH) for name in ("theta", "k")}
         for name, cap in depth.items():
-            if cap > SWEEP_DEPTH:
-                relation = "above" if cap > CAPS[name] else "within"
-                raise CliError(
-                    f"--max-{name} {cap} is {relation} its default {CAPS[name]}, but the sweep stops at "
-                    f"{name} = {SWEEP_DEPTH}; verify a deeper {name} with --{name}"
-                )
+            _check_cap(args, name, cap, name)
         checks.extend(_foundation_checks())
         for k in range(depth["k"] + 1):
             checks.extend(dl.coxeter_dimension_checks(k))

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .errors import VerificationError
 from . import harish_chandra as hc
 from .harish_chandra import RepMultiset
-from .partitions import Partition, partition
+from .partitions import Partition
 from .polynomial import IntPolynomial, linear_combination, prod, q_minus_sign, two_term_ratio, two_term_steps
 from .unipotent import SymbolLabel, _hooks_flat, a_exponent, from_symbol, symbol, symbol_degree, to_symbol
 
@@ -164,9 +164,11 @@ def _stratum_term_explicit(theta: int, theta_prime: int, a: int) -> RepMultiset:
     For exponent a = 2i (+1), the start label is a one-row alpha (i) and a
     one-column beta; splitting the added boxes as d to the alpha side gives
     alpha = (i + d - s, s) with 0 <= s <= min(d, i), and the column side
-    either keeps its length (bottom box added) or loses one row.  Every
-    partition and label comes from the `partition` and `symbol` memos, and
-    the constructor counts the labels with one hash each.
+    either keeps its length (bottom box added) or loses one row.  Parts go
+    to the `symbol` memo as canonical plain tuples, with no trailing zero
+    ((i + d - s, s) for s >= 1, else (i + d,), or () when i + d = 0), so
+    each finds the entry of the equal Partition from the Pieri path; the
+    constructor counts the labels with one hash each.
     """
     i, odd = divmod(a, 2)
     label_of = partial(symbol, 2 if odd else 1)
@@ -174,13 +176,14 @@ def _stratum_term_explicit(theta: int, theta_prime: int, a: int) -> RepMultiset:
     labels: list[SymbolLabel] = []
     for d in range(theta - theta_prime + 1):
         e = theta - theta_prime - d
-        alphas = [partition((i + d - s, s)) for s in range(min(d, i) + 1)]
+        alphas = [(i + d,) if i + d else ()]
+        alphas += [(i + d - s, s) for s in range(1, min(d, i) + 1)]
         if column == 0:
-            betas = [partition((e,) if e else ())]
+            betas = [(e,) if e else ()]
         else:
-            betas = [partition((e + 1,) + (1,) * (column - 1))]
+            betas = [(e + 1,) + (1,) * (column - 1)]
             if e >= 1:
-                betas.append(partition((e,) + (1,) * column))
+                betas.append((e,) + (1,) * column)
         labels.extend(starmap(label_of, product(alphas, betas)))
     return RepMultiset(labels)
 
@@ -512,7 +515,7 @@ def coxeter_restriction_checks(k: int) -> list[CheckResult]:
             if label.bipartition.size == 0:
                 continue  # cuspidal: restricts to zero
             for bip in hc.pieri_restrict(label.bipartition, 1):
-                restricted[SymbolLabel(label.t, bip.first, bip.second)] += mult
+                restricted[symbol(label.t, *bip)] += mult
         lhs = RepMultiset(restricted)
         rhs = lower.eigenspace(k - 1 + i, a)
         for low_entry in lower.at(k - 1 + i - 1):

@@ -66,16 +66,6 @@ def _reject(parts: tuple[int, ...]) -> None:
 EMPTY = Partition()
 
 
-@cache
-def partition(parts: tuple[int, ...]) -> Partition:
-    """Partition(parts), built once per process for each distinct parts tuple.
-
-    For hot loops that ask for the same few partitions many times over;
-    the tuple must be hashable.  Equal tuples give the same object.
-    """
-    return Partition(parts)
-
-
 class Bipartition(NamedTuple):
     first: Partition
     second: Partition

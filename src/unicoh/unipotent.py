@@ -129,17 +129,18 @@ def symbol(t: int, alpha: Partition, beta: Partition) -> SymbolLabel:
     Both induction paths of a stratum term build the same few labels tens of
     thousands of times; through this memo they share one object per label,
     so comparing their multisets mostly succeeds on identity.  Keyed on all
-    three arguments (alpha and beta must be hashable: Partitions or tuples).
+    three arguments: alpha and beta must be hashable, and a plain tuple of
+    parts finds the entry of the equal Partition only without trailing
+    zeros.  On a miss SymbolLabel makes them Partitions.  The only memo
+    that returns labels, so clearing it on its own drops every label.
     """
     return SymbolLabel(t, alpha, beta)
 
 
 @cache
-def _to_symbol(lam: Partition) -> SymbolLabel:
+def _to_symbol(lam: Partition) -> tuple[int, Partition, Partition]:
     t, (q0, q1) = core_quotient(lam)
-    if t % 2 == 0:
-        return symbol(t, q0, q1)
-    return symbol(t, q1, q0)
+    return (t, q0, q1) if t % 2 == 0 else (t, q1, q0)
 
 
 def to_symbol(lam: Partition) -> SymbolLabel:
@@ -150,10 +151,11 @@ def to_symbol(lam: Partition) -> SymbolLabel:
 
     Memoised per partition, like its inverse `from_symbol`: lam is made a
     Partition first (so a list or a tuple with trailing zeros finds the same
-    entry), and the label returned is the `symbol` memo's object.
-    `cache_info` and `cache_clear` are those of the memo.
+    entry).  The memo holds the triple, not the label, and the label comes
+    from the `symbol` memo.  `cache_info` and `cache_clear` are those of the
+    triple memo.
     """
-    return _to_symbol(Partition(lam))
+    return symbol(*_to_symbol(Partition(lam)))
 
 
 to_symbol.cache_info = _to_symbol.cache_info

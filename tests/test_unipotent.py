@@ -340,7 +340,20 @@ class TestSymbolMemo:
         after = symbol.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
 
-    @pytest.mark.parametrize("cell", [(6, 0, 0), (6, 3, 3), (6, 4, 8), (12, 5, 6)])
+    # the first four cells keep their ids; then every cell (theta', a) of
+    # every theta <= 8
+    CELLS = [(6, 0, 0), (6, 3, 3), (6, 4, 8), (12, 5, 6)]
+    CELLS += sorted(
+        {
+            (theta, theta_prime, a)
+            for theta in range(9)
+            for theta_prime in range(theta + 1)
+            for a in range(2 * theta_prime + 1)
+        }
+        - set(CELLS)
+    )
+
+    @pytest.mark.parametrize("cell", CELLS)
     def test_both_paths_share_label_objects(self, cell):
         pieri, explicit = _stratum_term_pieri(*cell), _stratum_term_explicit(*cell)
         assert {id(label) for label in pieri.counts} == {id(label) for label in explicit.counts}
@@ -361,6 +374,14 @@ class TestToSymbolMemo:
         assert to_symbol([4, 2, 2, 1]) is sym
         assert to_symbol((4, 2, 2, 1, 0, 0)) is sym
         assert sym is symbol(sym.t, sym.alpha, sym.beta)
+
+    def test_clearing_the_label_memo_alone_is_enough(self):
+        lam = Partition((3, 1))
+        to_symbol(lam)
+        symbol.cache_clear()
+        t, (q0, q1) = core_quotient(lam)
+        alpha, beta = (q0, q1) if t % 2 == 0 else (q1, q0)
+        assert to_symbol(lam) is symbol(t, alpha, beta)
 
     def test_second_page_adds_no_miss(self):
         stratum_cohomology(12)
