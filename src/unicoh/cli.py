@@ -100,7 +100,7 @@ def _fmt_labels(reps: hc.RepMultiset) -> str:
     pieces = []
     for label in reps.sorted_labels():
         m = reps.multiplicity(label)
-        body = _compact(list(from_symbol(label)))
+        body = _compact(from_symbol(label))
         pieces.append(body if m == 1 else f"{m}*{body}")
     return " + ".join(pieces) if pieces else "0"
 
@@ -157,7 +157,7 @@ def cmd_char_sym(args) -> Document:
     value = wc.chi_sym(lam, klass)
     return Document(
         text=lambda: str(value),
-        payload=lambda: {"lambda": list(lam), "class": list(klass), "value": str(value)},
+        payload=lambda: {"lambda": lam, "class": klass, "value": str(value)},
     )
 
 
@@ -168,11 +168,7 @@ def cmd_char_b(args) -> Document:
     value = wc.chi_typeb(label, klass)
     return Document(
         text=lambda: str(value),
-        payload=lambda: {
-            "label": [list(label.first), list(label.second)],
-            "class": [list(klass.first), list(klass.second)],
-            "value": str(value),
-        },
+        payload=lambda: {"label": label, "class": klass, "value": str(value)},
     )
 
 
@@ -190,24 +186,19 @@ def cmd_table(args) -> Document:
         _check_cap(args, "a", args.a, "type-B rank")
         table = wc.character_table_typeb(args.a)
 
-    def show(item) -> str:
-        if isinstance(item, Bipartition):
-            return _compact([list(item.first), list(item.second)])
-        return _compact(list(item))
-
     def text() -> str:
         lines = [f"character table {table.group} (order {table.group_order})"]
-        lines.append("classes:     " + "  ".join(show(c) for c in table.classes))
+        lines.append("classes:     " + "  ".join(_compact(c) for c in table.classes))
         lines.append("class sizes: " + "  ".join(str(s) for s in table.class_sizes))
         for label, row in zip(table.labels, table.values):
-            lines.append(f"{show(label)}: " + "  ".join(str(v) for v in row))
+            lines.append(f"{_compact(label)}: " + "  ".join(str(v) for v in row))
         return "\n".join(lines)
 
     def rows() -> list[list]:
-        out: list[list] = [["label"] + [show(c) for c in table.classes]]
+        out: list[list] = [["label"] + [_compact(c) for c in table.classes]]
         out.append(["class_size"] + [str(s) for s in table.class_sizes])
         for label, row in zip(table.labels, table.values):
-            out.append([show(label)] + [str(v) for v in row])
+            out.append([_compact(label)] + [str(v) for v in row])
         return out
 
     return Document(text=text, payload=table.to_json, rows=rows)
@@ -223,7 +214,7 @@ def cmd_degree(args) -> Document:
         return shown if value is None else f"{shown}\nat q={args.at}: {value}"
 
     def payload() -> dict:
-        shown = {"group": args.group, "partition": list(lam), "degree": poly.to_json()}
+        shown = {"group": args.group, "partition": lam, "degree": poly.to_json()}
         if value is not None:
             shown["at"] = {"q": args.at, "value": str(value)}
         return shown
@@ -235,18 +226,17 @@ def cmd_two_core(args) -> Document:
     lam = parse_partition(args.lam)
     cq = core_quotient(lam)
     return Document(
-        text=lambda: f"core t={cq.core_index}, core partition {_compact(list(staircase(cq.core_index)))}",
-        payload=lambda: {"lambda": list(lam), "t": cq.core_index, "core": list(staircase(cq.core_index))},
+        text=lambda: f"core t={cq.core_index}, core partition {_compact(staircase(cq.core_index))}",
+        payload=lambda: {"lambda": lam, "t": cq.core_index, "core": staircase(cq.core_index)},
     )
 
 
 def cmd_two_quotient(args) -> Document:
     lam = parse_partition(args.lam)
     cq = core_quotient(lam)
-    quotient = [list(cq.quotient.first), list(cq.quotient.second)]
     return Document(
-        text=lambda: f"core t={cq.core_index}, quotient {_compact(quotient)}",
-        payload=lambda: {"lambda": list(lam), "t": cq.core_index, "quotient": quotient},
+        text=lambda: f"core t={cq.core_index}, quotient {_compact(cq.quotient)}",
+        payload=lambda: {"lambda": lam, "t": cq.core_index, "quotient": cq.quotient},
     )
 
 
@@ -254,12 +244,8 @@ def cmd_reconstruct(args) -> Document:
     quotient = parse_bipartition(args.quotient)
     lam = from_core_quotient(args.t, quotient)
     return Document(
-        text=lambda: _compact(list(lam)),
-        payload=lambda: {
-            "t": args.t,
-            "quotient": [list(quotient.first), list(quotient.second)],
-            "lambda": list(lam),
-        },
+        text=lambda: _compact(lam),
+        payload=lambda: {"t": args.t, "quotient": quotient, "lambda": lam},
     )
 
 
@@ -269,16 +255,16 @@ def cmd_label(args) -> Document:
         lam = parse_partition(args.lam)
         sym = to_symbol(lam)
         return Document(
-            text=lambda: f"symbol t={sym.t}, alpha {_compact(list(sym.alpha))}, beta {_compact(list(sym.beta))}",
-            payload=lambda: {"partition": list(lam), "symbol": sym.to_json()},
+            text=lambda: f"symbol t={sym.t}, alpha {_compact(sym.alpha)}, beta {_compact(sym.beta)}",
+            payload=lambda: {"partition": lam, "symbol": sym.to_json()},
         )
     if args.t is None or args.alpha is None or args.beta is None:
         raise CliError("provide either --lambda, or all of --t, --alpha, --beta")
     sym = SymbolLabel(args.t, parse_partition(args.alpha), parse_partition(args.beta))
     lam = from_symbol(sym)
     return Document(
-        text=lambda: _compact(list(lam)),
-        payload=lambda: {"symbol": sym.to_json(), "partition": list(lam)},
+        text=lambda: _compact(lam),
+        payload=lambda: {"symbol": sym.to_json(), "partition": lam},
     )
 
 
@@ -292,13 +278,13 @@ def cmd_series(args) -> Document:
             f"principal={series.principal}, cuspidal={series.cuspidal}"
         ),
         payload=lambda: {
-            "lambda": list(lam),
+            "lambda": lam,
             "t": series.t,
             "n": series.n,
             "weyl_rank": series.weyl_rank,
             "principal": series.principal,
             "cuspidal": series.cuspidal,
-            "ambient_cuspidal_label": list(cuspidal) if cuspidal is not None else None,
+            "ambient_cuspidal_label": cuspidal,
         },
     )
 
@@ -315,11 +301,10 @@ def cmd_pieri(args) -> Document:
             raise CliError(f"cannot remove {args.remove} boxes from a bipartition of {label.size}")
         outs = hc.pieri_restrict(label, args.remove)
         op = {"remove": args.remove}
-    shown = [[list(b.first), list(b.second)] for b in outs]
     return Document(
-        text=lambda: "\n".join(_compact(b) for b in shown),
-        payload=lambda: {"label": [list(label.first), list(label.second)], **op, "result": shown},
-        rows=lambda: [[_compact(b)] for b in shown],
+        text=lambda: "\n".join(_compact(b) for b in outs),
+        payload=lambda: {"label": label, **op, "result": outs},
+        rows=lambda: [[_compact(b)] for b in outs],
     )
 
 
@@ -336,13 +321,13 @@ def cmd_induce(args) -> Document:
     return Document(
         text=lambda: f"U_{n}(q) constituents: {_fmt_labels(result)}",
         payload=lambda: {
-            "levi": {"unitary_rank": sym.rank, "gl_ranks": list(gl_ranks)},
+            "levi": {"unitary_rank": sym.rank, "gl_ranks": gl_ranks},
             "label": sym.to_json(),
             "n": n,
             "result": result.to_json(),
         },
         rows=lambda: [
-            [out.t, _compact(list(out.alpha)), _compact(list(out.beta)), result.multiplicity(out)]
+            [out.t, _compact(out.alpha), _compact(out.beta), result.multiplicity(out)]
             for out in result.sorted_labels()
         ],
     )

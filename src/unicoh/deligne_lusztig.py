@@ -331,25 +331,20 @@ def stratum_cohomology(theta: int) -> CohomologyTable:
 def closed_stratum_cohomology(theta: int) -> CohomologyTable:
     """The closed formula for the same table, independent of the spectral engine.
 
-    Degree 2i carries the two-row labels (2*theta+1-2s, 2s) for
-    0 <= s <= min(i, theta-i); degree 2i+1 the labels (2*theta-2s, 2s+1)
-    for 0 <= s <= min(i, theta-1-i).
+    Degree 2i + j (j = 0 or 1) carries the two-row labels
+    (2*theta+1-j-2s, 2s+j) for 0 <= s <= min(i, theta-j-i): degree 2i the
+    labels (2*theta+1-2s, 2s) for s <= min(i, theta-i), degree 2i+1 the
+    labels (2*theta-2s, 2s+1) for s <= min(i, theta-1-i).
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     entries = []
     for degree in range(2 * theta + 1):
-        i, odd = divmod(degree, 2)
-        if odd:
-            labels = [
-                to_symbol(Partition((2 * theta - 2 * s, 2 * s + 1)))
-                for s in range(min(i, theta - 1 - i) + 1)
-            ]
-        else:
-            labels = [
-                to_symbol(Partition((2 * theta + 1 - 2 * s, 2 * s)))
-                for s in range(min(i, theta - i) + 1)
-            ]
+        i, j = divmod(degree, 2)
+        labels = [
+            to_symbol(Partition((2 * theta + 1 - j - 2 * s, 2 * s + j)))
+            for s in range(min(i, theta - j - i) + 1)
+        ]
         entries.append(
             CohomologyEntry(degree=degree, frobenius_exponent=degree, constituents=RepMultiset(labels))
         )
@@ -495,6 +490,19 @@ def verify_stratum(theta: int) -> StratumVerification:
     return StratumVerification(theta=theta, checks=tuple(checks))
 
 
+def _restrict_one_box(reps: RepMultiset) -> RepMultiset:
+    """Harish-Chandra restriction by one box: each label goes through
+    `pieri_restrict(label.bipartition, 1)` keeping its t, with multiplicity;
+    a cuspidal label (empty bipartition) restricts to zero."""
+    restricted: Counter[SymbolLabel] = Counter()
+    for label, mult in reps.counts.items():
+        if label.bipartition.size == 0:
+            continue
+        for bip in hc.pieri_restrict(label.bipartition, 1):
+            restricted[symbol(label.t, *bip)] += mult
+    return RepMultiset(restricted)
+
+
 def coxeter_restriction_checks(k: int) -> list[CheckResult]:
     """Label-level restriction identity between ranks k and k - 1.
 
@@ -510,17 +518,8 @@ def coxeter_restriction_checks(k: int) -> list[CheckResult]:
     for entry in upper.entries:
         a = entry.frobenius_exponent
         i = entry.degree - k
-        restricted: Counter[SymbolLabel] = Counter()
-        for label, mult in entry.constituents.counts.items():
-            if label.bipartition.size == 0:
-                continue  # cuspidal: restricts to zero
-            for bip in hc.pieri_restrict(label.bipartition, 1):
-                restricted[symbol(label.t, *bip)] += mult
-        lhs = RepMultiset(restricted)
-        rhs = lower.eigenspace(k - 1 + i, a)
-        for low_entry in lower.at(k - 1 + i - 1):
-            if tate_twist(low_entry.frobenius_exponent) == a:
-                rhs = rhs.union(low_entry.constituents)
+        lhs = _restrict_one_box(entry.constituents)
+        rhs = lower.eigenspace(k - 1 + i, a).union(lower.eigenspace(k - 2 + i, a - 2))
         checks.append(
             CheckResult(
                 f"coxeter-restriction (k={k}, degree={entry.degree}, exponent={a})",

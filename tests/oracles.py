@@ -16,7 +16,11 @@ Harish-Chandra index [G:P] of a stratum term's parabolic, from dense
 products.  `hc_induce_by_pieri_counter` repeats Harish-Chandra induction
 as plain iterated Pieri steps counted in a Counter, and
 `two_quotient_by_parity_split` reads the 2-quotient off its definition
-without the library's beta-set code.
+without the library's beta-set code.  Two identities come from outside
+the engine and tie whole tables together: the Lefschetz point count at
+r = 1 (`lefschetz_number` against `isotropic_subspace_count`) and the
+one-box restriction from one theta to the next
+(`stratum_restriction_failures`).
 """
 
 from collections import Counter
@@ -25,7 +29,7 @@ from itertools import permutations
 
 from unicoh import Bipartition, IntPolynomial, Partition, border_strips, pieri_induce
 from unicoh.weyl_characters import label_sort_key
-from unicoh.deligne_lusztig import coxeter_hook, stratum_term_dimension
+from unicoh.deligne_lusztig import CohomologyTable, _restrict_one_box, coxeter_hook, stratum_term_dimension
 from unicoh.polynomial import linear_combination, prod, q_minus_one, q_minus_sign, two_term_ratio
 from unicoh.unipotent import SymbolLabel, _hooks_flat, a_exponent, symbol_degree
 
@@ -329,3 +333,50 @@ def euler_sum_over_cells(theta: int) -> IntPolynomial:
         for a in range(2 * theta + 1)
         for tp in range((a + 1) // 2, theta + 1)
     )
+
+
+def isotropic_subspace_count(theta: int) -> IntPolynomial:
+    """prod_{i=1}^{theta} (q**(2i+1) + 1): the number of maximal totally
+    isotropic subspaces of the Hermitian space F_{q^2}^{2theta+1} (Taylor,
+    The Geometry of the Classical Groups, 1992).  They are the F_{q^2}-points
+    of Y_theta = {U : dim U = theta + 1, U^perp in U}: a rational U has a
+    rational totally isotropic U^perp of dimension theta, and U = (U^perp)^perp."""
+    return prod(IntPolynomial.q_power(2 * i + 1) + 1 for i in range(1, theta + 1))
+
+
+def lefschetz_number(table: CohomologyTable, eigenvalue_sign: int = -1) -> IntPolynomial:
+    """The Lefschetz number at r = 1: the sum over eigenspaces of
+    (-1)**degree * (eigenvalue_sign * q)**a * dim, with Frobenius acting on
+    the exponent-a eigenspace by (eigenvalue_sign * q)**a.  The engine's
+    convention is (-q)**a with a = degree, so the sum is
+    sum_i q**i * dim H^i(q), which must equal `isotropic_subspace_count`."""
+    return linear_combination(
+        (
+            (-1) ** e.degree * eigenvalue_sign**e.frobenius_exponent,
+            IntPolynomial.q_power(e.frobenius_exponent) * e.constituents.dimension_poly(),
+        )
+        for e in table.entries
+    )
+
+
+def stratum_restriction_failures(upper: CohomologyTable, lower: CohomologyTable, shifts=(0, 2)) -> list[int]:
+    """The degrees i at which restricting H^i(upper) by one box
+    (`_restrict_one_box`, entry by entry) differs from the sum of
+    H^(i - s)(lower) over the shifts s; a degree outside a table is empty.
+
+    With upper = Y_theta, lower = Y_(theta-1) and the shifts (0, 2) this is
+    observed, not proven: no reference here states it.  It reads like the
+    cohomology of a P^1-bundle over Y_(theta-1), H*(P^1) = 1 + L giving the
+    shifts 0 and 2.
+    """
+    failures = []
+    for i in range(max(upper.degrees(), default=-1) + 1):
+        restricted = Counter()
+        for e in upper.at(i):
+            restricted.update(_restrict_one_box(e.constituents).counts)
+        expected = Counter()
+        for s in shifts:
+            expected.update(lower.degree_constituents(i - s))
+        if restricted != expected:
+            failures.append(i)
+    return failures

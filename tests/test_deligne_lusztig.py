@@ -29,7 +29,9 @@ from unicoh.deligne_lusztig import (
     coxeter_dimension_checks,
     coxeter_restriction_checks,
 )
-from unicoh.unipotent import symbol
+from unicoh.unipotent import symbol, to_symbol
+
+from oracles import isotropic_subspace_count, lefschetz_number, stratum_restriction_failures
 
 
 def labels_as_partitions(reps) -> set[tuple[int, ...]]:
@@ -562,6 +564,82 @@ class TestRestrictionIdentity:
 
     def test_twist_shifts_exponent_by_two(self):
         assert tate_twist(0) == 2
+
+
+TABLES = {"engine": stratum_cohomology, "closed": closed_stratum_cohomology}
+
+
+class TestPointCount:
+    """Lefschetz at r = 1 with Frobenius acting on H^i by (-q)**i:
+    sum_i q**i * dim H^i(q) is the number of maximal totally isotropic
+    subspaces of F_{q^2}^{2theta+1}, as exact polynomials in q.  It sees the
+    Frobenius convention and the degree of each eigenspace, which the five
+    checks of `verify_stratum` take as given."""
+
+    @pytest.mark.parametrize("method", TABLES)
+    @pytest.mark.parametrize("theta", range(21))
+    def test_lefschetz_number_counts_isotropic_subspaces(self, theta, method):
+        assert lefschetz_number(TABLES[method](theta)) == isotropic_subspace_count(theta)
+
+    @pytest.mark.parametrize("method", TABLES)
+    def test_eigenvalue_q_instead_of_minus_q_fails(self, method):
+        # Frobenius by q**i gives sum_i (-1)**i q**i dim H^i: it agrees at
+        # theta = 0 (H^0 alone) and fails from theta = 1 on (H^1 = (2,1))
+        agrees = [
+            lefschetz_number(TABLES[method](theta), eigenvalue_sign=1) == isotropic_subspace_count(theta)
+            for theta in range(9)
+        ]
+        assert agrees == [True] + [False] * 8
+
+    def test_counts_at_small_q(self):
+        assert [isotropic_subspace_count(theta)(2) for theta in (1, 2, 3)] == [9, 297, 38313]
+        assert [isotropic_subspace_count(theta)(3) for theta in (1, 2)] == [28, 6832]
+
+
+class TestStratumRestriction:
+    """Restricting H^i(Y_theta) by one box gives H^i(Y_(theta-1)) +
+    H^(i-2)(Y_(theta-1)) in every degree: observed, not proven (see
+    `stratum_restriction_failures`).  It is the only check that ties
+    consecutive theta together."""
+
+    @pytest.mark.parametrize("method", TABLES)
+    @pytest.mark.parametrize("theta", range(1, 13))
+    def test_restriction_is_the_table_one_down_plus_its_twist(self, theta, method):
+        table = TABLES[method]
+        assert stratum_restriction_failures(table(theta), table(theta - 1)) == []
+
+    @pytest.mark.parametrize("method", TABLES)
+    @pytest.mark.parametrize("shifts", [(0, 1), (1, 2)])
+    def test_other_shifts_fail_at_theta_one(self, shifts, method):
+        table = TABLES[method]
+        assert stratum_restriction_failures(table(1), table(0), shifts)
+
+    def test_cuspidal_label_restricts_to_zero(self):
+        assert dl._restrict_one_box(RepMultiset([to_symbol((2, 1))])) == RepMultiset()
+        assert dl._restrict_one_box(RepMultiset({to_symbol((3,)): 2})) == RepMultiset({to_symbol((1,)): 2})
+
+
+class TestGuardsThatRun:
+    def test_chain_head_with_nowhere_to_cancel_raises(self):
+        # the carry {x} from the middle term meets an empty third term
+        x = to_symbol((2, 1))
+        chain = [RepMultiset(), RepMultiset([x]), RepMultiset()]
+        with pytest.raises(VerificationError, match="has nowhere to cancel in column 3"):
+            dl._chain_head(3, 1, chain)
+
+    def test_exception_inside_one_check_fails_only_that_check(self, monkeypatch):
+        def injected(self, degree):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(dl.CohomologyTable, "degree_constituents", injected)
+        report = verify_stratum(2)
+        assert [(c.name, c.passed, c.details) for c in report.checks] == [
+            ("stratum-equals-closed-formula (theta=2)", True, ""),
+            ("poincare-duality-symmetry (theta=2)", False, "injected"),
+            ("frobenius-exponent-equals-degree (theta=2)", True, ""),
+            ("euler-characteristic-additivity (theta=2)", True, ""),
+            ("eigenvalue-alternating-sums (theta=2)", True, ""),
+        ]
 
 
 class TestTableSerialization:

@@ -69,6 +69,13 @@ def test_str():
     assert str(IntPolynomial((1, 2))) == "2*q + 1"
 
 
+def test_truth_value_and_repr():
+    # without __bool__ the zero polynomial would be truthy
+    assert not IntPolynomial.zero()
+    assert IntPolynomial.q_power(1)
+    assert repr(IntPolynomial([1, 0, -2])) == "IntPolynomial([1, 0, -2])"
+
+
 def test_json_round_trip():
     encoded = IntPolynomial((10**30, -3, 7)).to_json()
     assert encoded == [str(10**30), "-3", "7"]
