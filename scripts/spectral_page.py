@@ -12,6 +12,27 @@ import argparse
 import sys
 
 from unicoh import eo_stratum_cohomology, from_symbol
+from unicoh.cli import guard_stdout
+
+
+def print_page(theta: int, columns, dims: bool) -> int:
+    print(f"first page, theta = {theta} (columns = strata, rows = total degree)")
+    for degree in range(2 * theta, -1, -1):
+        chunks = []
+        for column, table in enumerate(columns):
+            parts = []
+            for entry in table.at(degree):
+                labels = " + ".join(str(list(from_symbol(l))) for l in entry.constituents)
+                piece = f"(-q)^{entry.frobenius_exponent}: {labels}"
+                if dims:
+                    piece += f" [dim {entry.constituents.dimension_poly()}]"
+                parts.append(piece)
+            if parts:
+                chunks.append(f"col {column} | " + " ; ".join(parts))
+        print(f"  degree {degree}:")
+        for chunk in chunks:
+            print(f"    {chunk}")
+    return 0
 
 
 def main() -> int:
@@ -25,23 +46,7 @@ def main() -> int:
 
     # every column is built before the first line, so a faulty stratum term raises here
     columns = [eo_stratum_cohomology(theta, tp) for tp in range(theta + 1)]
-    print(f"first page, theta = {theta} (columns = strata, rows = total degree)")
-    for degree in range(2 * theta, -1, -1):
-        chunks = []
-        for column, table in enumerate(columns):
-            parts = []
-            for entry in table.at(degree):
-                labels = " + ".join(str(list(from_symbol(l))) for l in entry.constituents)
-                piece = f"(-q)^{entry.frobenius_exponent}: {labels}"
-                if args.dims:
-                    piece += f" [dim {entry.constituents.dimension_poly()}]"
-                parts.append(piece)
-            if parts:
-                chunks.append(f"col {column} | " + " ; ".join(parts))
-        print(f"  degree {degree}:")
-        for chunk in chunks:
-            print(f"    {chunk}")
-    return 0
+    return guard_stdout(lambda: print_page(theta, columns, args.dims))
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import os
 import sys
 
 from unicoh import closed_stratum_cohomology, verify_stratum
+from unicoh.cli import guard_stdout
 
 
 def unwritable_reason(path: str) -> str | None:
@@ -49,8 +50,14 @@ def main() -> int:
     if reason:
         return cannot_write(args.out, reason)
 
+    return guard_stdout(lambda: export(args.max_theta, args.out))
+
+
+def export(max_theta: int, out: str | None) -> int:
+    """Verify and print each theta up to max_theta, then write the tables to
+    `out` if given."""
     documents = []
-    for theta in range(args.max_theta + 1):
+    for theta in range(max_theta + 1):
         report = verify_stratum(theta)
         if not report.ok:
             for check in report.checks:
@@ -61,13 +68,13 @@ def main() -> int:
         dims = [str(entry.constituents.dimension_poly()) for entry in table.entries]
         print(f"theta={theta}: degrees 0..{2 * theta}, dims {dims}")
 
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w") as fh:
+            with open(out, "w") as fh:
                 json.dump(documents, fh, indent=2)
         except OSError as exc:
-            return cannot_write(args.out, exc.strerror or exc)
-        print(f"wrote {len(documents)} tables to {args.out}")
+            return cannot_write(out, exc.strerror or exc)
+        print(f"wrote {len(documents)} tables to {out}")
     return 0
 
 

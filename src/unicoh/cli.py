@@ -546,6 +546,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def guard_stdout(body: Callable[[], int]) -> int:
+    """Run `body`, which prints to stdout and returns an exit status, and
+    flush stdout.  If the reader closes the pipe early (`unicoh ... | head`),
+    point stdout at devnull, so the flush at interpreter exit cannot raise
+    again, and return BROKEN_PIPE_STATUS, as a shell reports a process
+    killed by SIGPIPE."""
+    try:
+        status = body()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE_STATUS
+    return status
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
@@ -577,19 +594,13 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         if not args.quiet:
             print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        try:
-            print(rendered)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader closed the pipe early (`unicoh ... | head`).  Point
-            # stdout at devnull so the flush at interpreter exit cannot raise
-            # again, and exit as a shell reports a process killed by SIGPIPE.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return BROKEN_PIPE_STATUS
-    return doc.status
+        return doc.status
+
+    def write() -> int:
+        print(rendered)
+        return doc.status
+
+    return guard_stdout(write)
 
 
 if __name__ == "__main__":

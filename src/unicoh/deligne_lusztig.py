@@ -274,11 +274,17 @@ def eo_stratum_cohomology(theta: int, theta_prime: int) -> CohomologyTable:
 # -- the closed stratum ------------------------------------------------------
 
 
+def _chain_strata(theta: int, a: int) -> range:
+    """The strata theta' <= theta whose first-page terms carry eigenvalue
+    exponent a, in increasing order: those with a <= 2 * theta'."""
+    return range((a + 1) // 2, theta + 1)
+
+
 def _eigen_chain(theta: int, a: int) -> list[RepMultiset]:
     """The first-page terms carrying eigenvalue exponent a, by increasing
     stratum index theta'; the term of stratum theta' sits in degree
     theta' + a // 2."""
-    return [stratum_term(theta, tp, a) for tp in range((a + 1) // 2, theta + 1)]
+    return [stratum_term(theta, tp, a) for tp in _chain_strata(theta, a)]
 
 
 def _chain_head(theta: int, a: int, chain: list[RepMultiset]) -> RepMultiset:
@@ -300,7 +306,7 @@ def _chain_head(theta: int, a: int, chain: list[RepMultiset]) -> RepMultiset:
             missing = carry.difference(chain[j])
             raise VerificationError(
                 f"exactness failure for exponent {a} at theta={theta}: "
-                f"{missing!r} has nowhere to cancel in column {j + (a + 1) // 2}"
+                f"{missing!r} has nowhere to cancel in column {_chain_strata(theta, a)[j]}"
             )
         carry = chain[j].difference(carry)
     if len(carry):
@@ -426,7 +432,7 @@ def verify_stratum(theta: int) -> StratumVerification:
             alts = [
                 linear_combination(
                     ((-1) ** j, stratum_term_dimension(theta, tp, a))
-                    for j, tp in enumerate(range((a + 1) // 2, theta + 1))
+                    for j, tp in enumerate(_chain_strata(theta, a))
                 )
                 for a in range(2 * theta + 1)
             ]
@@ -532,6 +538,8 @@ def coxeter_restriction_checks(k: int) -> list[CheckResult]:
 
 def coxeter_dimension_checks(k: int) -> list[CheckResult]:
     """Eigenspace dimension formula equals the hook-formula generic degree."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     checks = []
     for a in range(2 * k + 1):
         closed_form = coxeter_eigenspace_dim(k, a)

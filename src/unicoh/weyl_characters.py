@@ -268,6 +268,8 @@ def _sym_column(nu: Partition) -> dict[Partition, int]:
 
 def character_table_sym(n: int) -> CharacterTable:
     """Full character table of the symmetric group on n letters."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
     return _character_table(f"S{n}", partitions_of(n), sym_class_size, _sym_column)
 
 
@@ -275,4 +277,6 @@ def character_table_typeb(a: int) -> CharacterTable:
     """Full character table of the hyperoctahedral group W_a, read from the
     memoised class columns: the module-level `typeb_column` is looked up at
     call time, and no value goes through `chi_typeb`."""
+    if a < 0:
+        raise ValueError("rank must be nonnegative")
     return _character_table(f"W{a}", labels_typeb(a), typeb_class_size, typeb_column)

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +14,9 @@ from unicoh import partitions
 from unicoh import unipotent
 from unicoh import weyl_characters as wc
 from unicoh.cli import main, parse_bipartition, parse_partition
+
+from cli_outputs import GOLDEN, rows, sha256
+from memos import MEMOS, clear_memos
 
 
 def run(capsys, *argv):
@@ -313,37 +315,35 @@ class TestPieriFaultReachesEngine:
         assert dl.verify_stratum(3).ok is False
 
 
-# the memoised functions themselves, taken before any test patches a module
-MEMOISED = (
-    wc.chi_sym,
-    wc.chi_typeb,
-    wc.typeb_column,
-    wc.labels_typeb,
-    partitions.border_strips,
-    hc.add_horizontal_strips,
-    hc.remove_horizontal_strips,
-    unipotent.from_symbol,
-    unipotent.to_symbol,
-    unipotent.symbol,
-    dl.index_form_row,
-)
-
-
-def _clear_character_caches():
-    for fn in MEMOISED:
-        fn.cache_clear()
+def test_the_memo_walk_finds_every_memo():
+    # a new memo is a visible change here, and the fault fixtures empty it too
+    assert sorted(f"{memo.__module__}.{memo.__qualname__}" for memo in MEMOS) == [
+        "unicoh.deligne_lusztig.index_form_row",
+        "unicoh.harish_chandra.add_horizontal_strips",
+        "unicoh.harish_chandra.remove_horizontal_strips",
+        "unicoh.partitions.border_strips",
+        "unicoh.unipotent._to_symbol",
+        "unicoh.unipotent.degree_gl",
+        "unicoh.unipotent.degree_u",
+        "unicoh.unipotent.from_symbol",
+        "unicoh.unipotent.symbol",
+        "unicoh.weyl_characters.chi_sym",
+        "unicoh.weyl_characters.chi_typeb",
+        "unicoh.weyl_characters.labels_typeb",
+        "unicoh.weyl_characters.typeb_column",
+    ]
 
 
 @pytest.fixture
-def character_caches():
-    """Clear the character and strip caches after the test, so values
-    computed under an injected fault do not leak into later tests."""
-    yield _clear_character_caches
-    _clear_character_caches()
+def all_memos():
+    """Empty every memo after the test, so values computed under an injected
+    fault do not leak into later tests."""
+    yield clear_memos
+    clear_memos()
 
 
 class TestStripCacheFault:
-    def test_strip_fault_behind_warm_cache_flips_verify(self, capsys, monkeypatch, character_caches):
+    def test_strip_fault_behind_warm_cache_flips_verify(self, capsys, monkeypatch, all_memos):
         clean = wc.character_table_typeb(3)
         assert partitions.border_strips.cache_info().currsize > 0
         original = wc.border_strips
@@ -353,14 +353,14 @@ class TestStripCacheFault:
             return strips[:-1] if lam == Partition((2, 1)) and size == 1 else strips
 
         monkeypatch.setattr(wc, "border_strips", broken)
-        character_caches()
+        all_memos()
         assert wc.character_table_typeb(3).values != clean.values
         status, _, _ = run(capsys, "verify", "-q")
         assert status == 1
 
 
 class TestSymThroughTypeB:
-    def test_typeb_fault_reaches_sym_table(self, monkeypatch, character_caches):
+    def test_typeb_fault_reaches_sym_table(self, monkeypatch, all_memos):
         # S_n values are W_n values at (lam, empty), (nu, empty), so a fault in
         # the one recursion must show in the S_n table too
         assert wc.character_table_sym(3).is_orthogonal(6)
@@ -373,7 +373,7 @@ class TestSymThroughTypeB:
             return value
 
         monkeypatch.setattr(wc, "chi_typeb", broken)
-        character_caches()
+        all_memos()
         assert not wc.character_table_sym(3).is_orthogonal(6)
 
 
@@ -382,13 +382,13 @@ class TestColumnFaultReachesTypeBTable:
     # so only the table's own lookup of typeb_column can carry the fault
     LABEL, KLASS = Bipartition.of((2,), (1,)), Bipartition.of((1,), (1, 1))
 
-    def test_table_reads_columns_not_single_values(self, character_caches):
-        character_caches()
+    def test_table_reads_columns_not_single_values(self, all_memos):
+        all_memos()
         wc.character_table_typeb(3)
         assert wc.typeb_column.cache_info().currsize > 0
         assert wc.chi_typeb.cache_info().currsize == 0
 
-    def test_column_fault_reaches_typeb_table(self, capsys, monkeypatch, character_caches):
+    def test_column_fault_reaches_typeb_table(self, capsys, monkeypatch, all_memos):
         # the W_a table looks typeb_column up at call time, so a wrapped
         # column reaches it, and the orthogonality checks of verify with it
         clean = wc.character_table_typeb(3)
@@ -401,14 +401,14 @@ class TestColumnFaultReachesTypeBTable:
             return column
 
         monkeypatch.setattr(wc, "typeb_column", broken)
-        character_caches()
+        all_memos()
         assert wc.character_table_typeb(3).values != clean.values
         status, _, _ = run(capsys, "verify", "-q")
         assert status == 1
 
 
 class TestHorizontalStripCacheFault:
-    def test_strip_fault_behind_warm_cache_flips_verify(self, capsys, monkeypatch, character_caches):
+    def test_strip_fault_behind_warm_cache_flips_verify(self, capsys, monkeypatch, all_memos):
         assert dl.verify_stratum(3).ok
         assert hc.add_horizontal_strips.cache_info().currsize > 0
         original = hc.add_horizontal_strips
@@ -418,7 +418,7 @@ class TestHorizontalStripCacheFault:
             return strips[:-1] if lam == Partition((1,)) and boxes == 1 else strips
 
         monkeypatch.setattr(hc, "add_horizontal_strips", broken)
-        character_caches()
+        all_memos()
         assert hc.pieri_induce(Bipartition.of((1,), ()), 1) == (
             Bipartition.of((2,), ()),
             Bipartition.of((1,), (1,)),
@@ -435,8 +435,8 @@ class TestLabelMemoFault:
     CELL = (6, 3, 3)
 
     @pytest.fixture
-    def warm_memos(self, character_caches):
-        character_caches()
+    def warm_memos(self, all_memos):
+        all_memos()
         dl.stratum_cohomology(6)
         labels = unipotent.symbol.cache_info()
         dl._stratum_term_explicit(*self.CELL)
@@ -715,63 +715,53 @@ class TestCheckEncoding:
         }
 
 
-class TestBenchGolden:
-    def test_w7_table_matches_bench_digest(self, capsys):
-        golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
-        status = main(["table", "--group", "b", "--a", "7", "--max-a", "7", "-q", "--format", "json"])
-        out = capsys.readouterr().out
-        assert status == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == golden["char-tables"]
+# the pinned CLI outputs that tier-1 runs in-process, by argv
+PINNED = {row.argv: row for row in rows(GOLDEN / "cli_outputs.txt")}
 
 
-class TestSymTableGolden:
-    # measured with a separate S_n strip recursion, which chi_typeb must reproduce
-    S8_JSON_SHA256 = "dd31fdf738ccc147f75f5c1a4c23e6279042966709ff37fd657af614b596de7f"
-
-    def test_s8_table_matches_digest(self, capsys):
-        status = main(["table", "--group", "sym", "--n", "8", "--max-n", "8", "-q", "--format", "json"])
-        out = capsys.readouterr().out
-        assert status == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.S8_JSON_SHA256
+def pinned(command: str) -> str:
+    return PINNED[tuple(command.split())].digest
 
 
 def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode())
 
 
-class TestTextAndCsvDigests:
-    # stdout sha256 of the text and CSV forms, recorded while every handler
-    # still built all three forms
-    DIGESTS = {
-        ("table", "--group", "b", "--a", "7", "--max-a", "7", "-q", "--format", "table"):
-            "c3b6863e77c1fdd9b86d2913d117153d6fe27f3c1d626b6a65d0427192133f6f",
-        ("table", "--group", "b", "--a", "7", "--max-a", "7", "-q", "--format", "csv"):
-            "f375012ebe4ad1c6db0ee31bbd2aeb658a2e715565beb7f8d8cc59e3fd745ae1",
-        ("stratum", "--theta", "8", "-q", "--format", "table"):
-            "cc3d5ff4475fd11706dd5b0671387e00504671956273f41e0073fe1e2f78b611",
-        ("stratum", "--theta", "8", "-q", "--format", "csv"):
-            "33cd12c0f48372a633d73d5662e9fcd80338453b05d3c0463d41d5feac53b773",
-        ("verify", "-q", "--format", "table"):
-            "2c42daf635b4d822196b861e6078e13856cb4804071c939d1eb6912dfbaba9fb",
-        ("verify", "-q", "--format", "csv"):
-            "9785dafc64fcca0ab763999ad730a15b71d58d7de63b5090f6136968b2fbe845",
-    }
+@pytest.mark.parametrize("row", PINNED.values(), ids=lambda row: " ".join(row.argv))
+def test_pinned_output(capsys, row):
+    status = main(list(row.argv))
+    assert (status, _sha256(capsys.readouterr().out)) == (row.status, row.digest)
 
-    @pytest.mark.parametrize("argv", sorted(DIGESTS))
-    def test_stdout_matches_digest(self, capsys, argv):
-        status = main(list(argv))
-        assert status == 0
-        assert _sha256(capsys.readouterr().out) == self.DIGESTS[argv]
+
+class TestPinnedRows:
+    def test_deep_rows_parse_and_repeat_no_row(self):
+        deep = {row.argv for row in rows(GOLDEN / "cli_outputs_deep.txt")}
+        assert deep and not PINNED.keys() & deep
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 " + "ab" * 32 + " verify -q\n0 " + "cd" * 32 + " verify -q\n", "second row for verify -q"),
+        ("0 " + "ab" * 31 + " verify -q\n", "not a row"),
+        ("0 " + "AB" * 32 + " verify -q\n", "not a row"),
+        ("0 " + "ab" * 32 + "\n", "not a row"),
+        ("x " + "ab" * 32 + " verify\n", "not a row"),
+    ])
+    def test_malformed_or_repeated_row_is_an_error(self, tmp_path, text, message):
+        path = tmp_path / "rows.txt"
+        path.write_text("# a comment\n\n" + text)
+        with pytest.raises(ValueError, match=message):
+            rows(path)
+
+
+class TestBenchGolden:
+    def test_bench_digests_are_the_pinned_rows(self):
+        golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+        assert pinned("verify --theta 10 --max-theta 10 -q --format json") == golden["verify-cold"]
+        assert pinned("table --group b --a 7 --max-a 7 -q --format json") == golden["char-tables"]
 
 
 class TestOneFormPerRun:
     """`render` builds only the requested form, and a fault while building it
     is an internal failure like any other."""
-
-    STRATUM_3_JSON = "40409160726bc65c9078779c68b2bb66c194040636d8caf26af451e530d866d7"
-    COXETER_3_JSON = "32561213fe0ddbe1923e6d9e86fe094571a5ab90df5c3082050ef56f7296ede3"
-    STRATUM_3_TEXT = "e3d08066685644d20cca537f2905ed6176fdc26f47a527215f5bb52405b8e654"
-    STRATUM_3_CSV = "b4d3376553a40a16c0d10aad5eb27f75d7d12493c2b44c28f3083598a4669423"
 
     @staticmethod
     def failing(*args):
@@ -779,12 +769,9 @@ class TestOneFormPerRun:
 
     def test_json_runs_format_no_labels(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_fmt_labels", self.failing)
-        for argv, digest in (
-            (("stratum", "--theta", "3", "--format", "json"), self.STRATUM_3_JSON),
-            (("coxeter", "--k", "3", "-q", "--format", "json"), self.COXETER_3_JSON),
-        ):
-            assert main(list(argv)) == 0
-            assert _sha256(capsys.readouterr().out) == digest
+        for command in ("stratum --theta 3 --format json", "coxeter --k 3 -q --format json"):
+            assert main(command.split()) == 0
+            assert _sha256(capsys.readouterr().out) == pinned(command)
 
     def test_json_table_run_builds_no_cells(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_compact", self.failing)
@@ -803,9 +790,10 @@ class TestOneFormPerRun:
     def test_text_and_csv_runs_build_no_payload(self, capsys, monkeypatch):
         monkeypatch.setattr(dl.CohomologyTable, "to_json", self.failing)
         monkeypatch.setattr(dl.CheckResult, "to_json", self.failing)
-        for fmt, digest in (("table", self.STRATUM_3_TEXT), ("csv", self.STRATUM_3_CSV)):
-            assert main(["stratum", "--theta", "3", "-q", "--format", fmt]) == 0
-            assert _sha256(capsys.readouterr().out) == digest
+        for fmt in ("table", "csv"):
+            command = f"stratum --theta 3 -q --format {fmt}"
+            assert main(command.split()) == 0
+            assert _sha256(capsys.readouterr().out) == pinned(command)
             status, out, _ = run(capsys, "verify", "--theta", "3", "--format", fmt)
             assert status == 0 and "FAIL" not in out
 

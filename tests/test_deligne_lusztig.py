@@ -102,6 +102,11 @@ class TestCoxeterEigendim:
     def test_checks_helper(self):
         assert all(c.passed for k in range(7) for c in coxeter_dimension_checks(k))
 
+    def test_negative_rank_has_no_checks_to_pass(self):
+        # an empty check list would pass
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            coxeter_dimension_checks(-1)
+
 
 class TestStratumTerm:
     def test_point_stratum(self):

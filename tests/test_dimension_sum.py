@@ -30,6 +30,7 @@ from unicoh import unipotent
 from unicoh.cli import main
 from unicoh.harish_chandra import RepMultiset
 from unicoh.polynomial import linear_combination
+from memos import clear_memos
 from oracles import (
     dimension_by_reduce,
     direct_index_form,
@@ -94,10 +95,11 @@ class TestFromSymbolMemo:
 
 @pytest.fixture
 def label_cache():
-    """Clear the symbol -> partition cache after the test, so partitions
-    computed under an injected fault do not leak into later tests."""
+    """Yield the symbol -> partition cache's clearer, and empty every memo
+    after the test, so values computed under an injected fault do not leak
+    into later tests."""
     yield unipotent.from_symbol.cache_clear
-    unipotent.from_symbol.cache_clear()
+    clear_memos()
 
 
 def _stratum_json(capsys) -> str:
@@ -171,15 +173,11 @@ def _dimension_checks(theta: int) -> list[str]:
 
 @pytest.fixture
 def cold_caches():
-    """Empty the degree, translation and index-form caches before and after
-    the test, so that no value computed under an injected fault is read
-    before it or leaks into later tests."""
-    caches = (unipotent.degree_u, unipotent.from_symbol, dl.index_form_row)
-    for fn in caches:
-        fn.cache_clear()
+    """Empty every memo before and after the test, so that no value computed
+    under an injected fault is read before it or leaks into later tests."""
+    clear_memos()
     yield
-    for fn in caches:
-        fn.cache_clear()
+    clear_memos()
 
 
 class TestIndexFormSeesLabelFaults:

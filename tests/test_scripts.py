@@ -11,6 +11,7 @@ import pytest
 
 from unicoh import RepMultiset, VerificationError, closed_stratum_cohomology
 from unicoh import deligne_lusztig as dl
+from unicoh.cli import BROKEN_PIPE_STATUS
 from unicoh.deligne_lusztig import CohomologyEntry, CohomologyTable
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,14 +19,18 @@ SCRIPTS = ROOT / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+def script_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *argv],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=script_env(), timeout=300,
     )
 
 
@@ -40,6 +45,25 @@ def test_spectral_page_script():
     proc = run_script("spectral_page.py", "--theta", "3", "--dims")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "spectral_page_theta3_dims.txt").read_text()
+
+
+# each prints well over a pipe's 64 kB, so a write is still to come when
+# the reader goes away: 147 kB and 173 kB
+@pytest.mark.parametrize("argv", [
+    ("spectral_page.py", "--theta", "14"),
+    ("stratum_tables.py", "--max-theta", "14"),
+])
+def test_reader_closing_early_exits_141_without_traceback(argv):
+    name, *rest = argv
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / name), *rest],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=script_env(),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == BROKEN_PIPE_STATUS
+    assert err == b""
 
 
 def test_spectral_page_faulty_term_fails_before_any_row(monkeypatch, capsys):

@@ -265,6 +265,15 @@ class TestCharacterTables:
                 tuple(chi(label, klass) for klass in table.classes) for label in table.labels
             )
 
+    def test_negative_sym_rank_is_rejected(self):
+        # not an empty table named S-1
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            character_table_sym(-1)
+
+    def test_negative_typeb_rank_is_rejected(self):
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            character_table_typeb(-1)
+
     def test_label_order_is_documented_total_order(self):
         labels = [Partition(p) for p in ((3,), (2, 1), (1, 1, 1))]
         assert sorted(labels, key=label_sort_key) == labels
