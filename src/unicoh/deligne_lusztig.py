@@ -199,7 +199,7 @@ def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:
     _check_exponent(theta_prime, a)
     via_pieri = _stratum_term_pieri(theta, theta_prime, a)
     explicit = _stratum_term_explicit(theta, theta_prime, a)
-    if via_pieri != explicit:
+    if via_pieri.counts != explicit.counts:
         raise VerificationError(
             f"stratum term mismatch at (theta={theta}, theta'={theta_prime}, a={a}): "
             f"pieri={via_pieri!r}, explicit={explicit!r}"

@@ -105,11 +105,12 @@ def _pair_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipartition, .
     seconds of d.  The pairs become Bipartitions through `tuple.__new__`,
     as the NamedTuple constructor would make them.
     """
-    firsts = sorted(chain.from_iterable(strips(start.first, d) for d in range(boxes + 1)), reverse=True)
-    seconds = [strips(start.second, boxes - d) for d in range(boxes + 1)]
+    firsts = sorted(chain.from_iterable(map(strips, repeat(start.first), range(boxes + 1))), reverse=True)
+    seconds = list(map(strips, repeat(start.second), range(boxes, -1, -1)))
     base = start.first.size
-    pairs = [(first, second) for first in firsts for second in seconds[abs(sum(first) - base)]]
-    return tuple(map(partial(tuple.__new__, Bipartition), pairs))
+    new = tuple.__new__
+    return tuple([new(Bipartition, (first, second))
+                  for first in firsts for second in seconds[abs(sum(first) - base)]])
 
 
 def pieri_induce(start: Bipartition, boxes: int) -> tuple[Bipartition, ...]:
@@ -148,9 +149,9 @@ class RepMultiset:
     __slots__ = ("counts",)
 
     def __init__(self, items: Mapping[SymbolLabel, int] | Iterable[SymbolLabel] = ()):
-        # dict() copies a mapping with the hashes it stores, and Counter hashes
-        # each label of an iterable once; the checks below run at C level
-        if isinstance(items, Mapping):
+        # a dict, list or tuple skips the Mapping ABC check; an iterable is
+        # counted by Counter only when a label repeats; the rest is C level
+        if isinstance(items, dict) or (type(items) not in (list, tuple) and isinstance(items, Mapping)):
             counts = dict(items)
             mults = list(map(index, counts.values()))
             if any(map(is_not, mults, counts.values())):  # a bool or another integer type
@@ -160,9 +161,12 @@ class RepMultiset:
             if mults and min(mults) < 0:
                 raise ValueError("multiplicities must be nonnegative")
         else:
-            counts = dict(Counter(items))  # every count is a positive int
+            labels = list(items)
+            counts = dict.fromkeys(labels, 1)
+            if len(counts) != len(labels):
+                counts = dict(Counter(labels))  # every count is a positive int
         try:
-            supports = set(map(attrgetter("t", "rank"), counts))
+            supports = set(map(attrgetter("support"), counts))
         except AttributeError:
             for label in counts:
                 if not isinstance(label, SymbolLabel):
@@ -266,7 +270,7 @@ def hc_induce(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> RepMultiset:
     Multiplicities add up in a plain dict: the first label of a block fills
     it with `dict.fromkeys`, and later labels merge one output at a time.
     """
-    if any(a < 0 for a in gl_ranks):
+    if min(gl_ranks, default=0) < 0:
         raise ValueError("ranks must be nonnegative")
     label_of = partial(symbol, unitary.t)
     current = {label_of(unitary.alpha, unitary.beta): 1}

@@ -223,29 +223,23 @@ def from_core_quotient(t: int, quotient: Bipartition) -> Partition:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n in descending lexicographic order."""
+    """All partitions of n in descending lexicographic order; a negative n raises ValueError."""
     if n < 0:
-        return
-    if n == 0:
-        yield EMPTY
-        return
+        raise ValueError(f"size must be nonnegative, got {n}")
 
-    def gen(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
+    def gen(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
         if remaining == 0:
             yield Partition(prefix)
-            return
         for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            yield from gen(remaining - part, part, prefix)
-            prefix.pop()
+            yield from gen(remaining - part, part, prefix + (part,))
 
-    yield from gen(n, n, [])
+    return gen(n, n, ())
 
 
 def bipartitions_of(n: int) -> Iterator[Bipartition]:
-    """All bipartitions of n, first component major, descending."""
+    """All bipartitions of n, first component major, descending; a negative n raises ValueError."""
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
     parts = [tuple(partitions_of(k)) for k in range(n + 1)]
-    for j in range(n, -1, -1):
-        for first in parts[j]:
-            for second in parts[n - j]:
-                yield Bipartition(first, second)
+    return (Bipartition(first, second)
+            for j in range(n, -1, -1) for first in parts[j] for second in parts[n - j])

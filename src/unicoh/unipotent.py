@@ -69,10 +69,11 @@ class SymbolLabel:
     (t, alpha, beta), and only with other labels.
     """
 
-    # rank: n = 2(|alpha| + |beta|) + t(t+1)/2 of the ambient unitary group.
+    # rank: n = 2(|alpha| + |beta|) + t(t+1)/2 of the ambient unitary group;
+    # support: (t, rank), shared by every label of one RepMultiset.
     # _hash: hash((t, alpha, beta)), stored so that dict and set lookups do
     # not rebuild the tuple.
-    __slots__ = ("t", "alpha", "beta", "rank", "_hash")
+    __slots__ = ("t", "alpha", "beta", "rank", "support", "_hash")
 
     def __init__(self, t: int, alpha: Partition, beta: Partition):
         if t < 0:
@@ -83,6 +84,7 @@ class SymbolLabel:
         setter(self, "alpha", alpha)
         setter(self, "beta", beta)
         setter(self, "rank", 2 * (sum(alpha) + sum(beta)) + t * (t + 1) // 2)
+        setter(self, "support", (t, self.rank))
         setter(self, "_hash", hash((t, alpha, beta)))
 
     def __setattr__(self, name, value):

@@ -89,10 +89,15 @@ class TestStripsMatchUnprunedOracle:
             for start in bipartitions_of(n):
                 for boxes in range(5):
                     expected = pieri_by_nested_strips(start, boxes, unpruned_add_strips)
-                    assert pieri_induce(start, boxes) == expected
+                    got = pieri_induce(start, boxes)
+                    assert got == expected
+                    # equal plain pairs would compare equal too
+                    assert all(type(out) is Bipartition for out in got)
                 for boxes in range(n + 1):
                     expected = pieri_by_nested_strips(start, boxes, unpruned_remove_strips)
-                    assert pieri_restrict(start, boxes) == expected
+                    got = pieri_restrict(start, boxes)
+                    assert got == expected
+                    assert all(type(out) is Bipartition for out in got)
 
 
 class TestStripCache:
@@ -275,8 +280,19 @@ class TestOracle:
             )
 
 
-MAPPINGS = [dict, Counter, MappingProxyType]
-ITERABLES = [list, tuple, iter]
+class LabelDict(dict):
+    """A dict subclass that is not a Counter: it takes the dict path too."""
+
+
+def generator(labels):
+    return (label for label in labels)
+
+
+# a dict (or a subclass), a list and a tuple skip the Mapping ABC check;
+# MappingProxyType, iter and generators take it.  An iterable is counted by
+# dict.fromkeys, and by a Counter when a label repeats.
+MAPPINGS = [dict, Counter, LabelDict, MappingProxyType]
+ITERABLES = [list, tuple, iter, generator]
 
 
 class TestRepMultiset:
@@ -323,6 +339,31 @@ class TestRepMultiset:
         multiset = RepMultiset(kind([self.A, self.B, self.A]))
         assert multiset.counts == {self.A: 2, self.B: 1}
         assert RepMultiset(kind([])).counts == {}
+        assert RepMultiset(kind([self.B, self.A, self.A, self.A])).counts == {self.B: 1, self.A: 3}
+        distinct = RepMultiset(kind([self.B, self.A]))
+        assert distinct.counts == {self.B: 1, self.A: 1}
+        assert all(type(m) is int for m in distinct.counts.values())
+
+    def test_every_path_raises_the_same_error(self):
+        # each bad input through every mapping kind (a bool multiplicity
+        # takes the int-conversion path first) and, said as labels, through
+        # every iterable kind with and without a repeated label
+        bad = 1.5
+        cases = [
+            ({self.A: True, self.B: -1}, None, ValueError, "multiplicities must be nonnegative"),
+            ({self.A: 1, bad: 2}, [self.A, bad], TypeError, f"a RepMultiset holds symbol labels, not {bad!r}"),
+            ({self.A: True, self.OTHER: 1}, [self.A, self.OTHER], ValueError, "mixed cuspidal supports"),
+        ]
+        for mapping, labels, error, message in cases:
+            inputs = [kind(mapping) for kind in MAPPINGS]
+            if labels is not None:
+                inputs += [kind(items) for kind in ITERABLES for items in (labels, labels + [self.A])]
+            seen = set()
+            for items in inputs:
+                with pytest.raises(error, match=re.escape(message)) as info:
+                    RepMultiset(items)
+                seen.add((type(info.value), str(info.value)))
+            assert len(seen) == 1, seen
 
     @pytest.mark.parametrize("kind", ITERABLES)
     def test_iterable_rejects_mixed_supports(self, kind):
@@ -350,6 +391,19 @@ class TestRepMultiset:
         assert left.difference(left).counts == {}
         with pytest.raises(AttributeError, match="immutable"):
             diff.counts = {}
+
+    def test_difference_clips_multiplicities_above_one(self):
+        # the clipped difference is Counter subtraction, on multisets whose
+        # multiplicities go up to 3 on both sides
+        labels = [self.A, self.B, symbol(1, (1,), (1,)), symbol(1, (), (2,))]
+        multisets = [
+            RepMultiset(dict(zip(labels, mults))) for mults in product(range(4), repeat=len(labels))
+        ][::7]
+        for left in multisets:
+            for right in multisets:
+                expected = Counter(left.counts) - Counter(right.counts)
+                assert left.difference(right).counts == dict(expected)
+        assert any(max(left.counts.values(), default=0) > 1 for left in multisets)
 
     def test_union_difference_intersection(self):
         a, b = symbol(1, (2,), ()), symbol(1, (1, 1), ())

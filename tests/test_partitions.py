@@ -10,6 +10,7 @@ from unicoh import (
     Partition,
     VerificationError,
     beta_set,
+    bipartitions_of,
     border_strips,
     core_quotient,
     from_beta_set,
@@ -339,3 +340,13 @@ class TestEnumeration:
     def test_partition_counts(self):
         counts = [len(list(partitions_of(n))) for n in range(11)]
         assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+    # a negative size raises at the call, before any next(), and is not an
+    # empty enumeration
+    def test_negative_size_has_no_partitions(self):
+        with pytest.raises(ValueError, match="size must be nonnegative, got -1"):
+            partitions_of(-1)
+
+    def test_negative_size_has_no_bipartitions(self):
+        with pytest.raises(ValueError, match="size must be nonnegative, got -1"):
+            bipartitions_of(-1)

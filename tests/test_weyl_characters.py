@@ -16,7 +16,7 @@ from unicoh import (
     sym_class_size,
     typeb_class_size,
 )
-from unicoh.weyl_characters import label_sort_key, signed_cycle_type, typeb_column
+from unicoh.weyl_characters import label_sort_key, labels_typeb, signed_cycle_type, typeb_column
 
 from oracles import (
     chi_typeb_by_recursion,
@@ -273,6 +273,12 @@ class TestCharacterTables:
     def test_negative_typeb_rank_is_rejected(self):
         with pytest.raises(ValueError, match="rank must be nonnegative"):
             character_table_typeb(-1)
+
+    def test_negative_typeb_rank_has_no_labels_and_caches_nothing(self):
+        cached = labels_typeb.cache_info().currsize
+        with pytest.raises(ValueError, match="size must be nonnegative, got -1"):
+            labels_typeb(-1)
+        assert labels_typeb.cache_info().currsize == cached
 
     def test_label_order_is_documented_total_order(self):
         labels = [Partition(p) for p in ((3,), (2, 1), (1, 1, 1))]
