@@ -62,7 +62,6 @@ from .deligne_lusztig import (
     eo_stratum_cohomology,
     stratum_cohomology,
     stratum_term,
-    tate_twist,
     verify_stratum,
 )
 

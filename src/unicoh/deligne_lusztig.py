@@ -29,11 +29,6 @@ from .polynomial import IntPolynomial, linear_combination, prod, q_minus_sign, t
 from .unipotent import SymbolLabel, _hooks_flat, a_exponent, from_symbol, symbol, symbol_degree, to_symbol
 
 
-def tate_twist(exponent: int) -> int:
-    """Frobenius-exponent shift of one Tate twist."""
-    return exponent + 2
-
-
 # -- tables ----------------------------------------------------------------
 
 

@@ -30,7 +30,7 @@ ORACLE_RANK_CAP = 6
 
 def _interlacing(lo: tuple[int, ...], hi: tuple[int, ...], total: int) -> tuple[Partition, ...]:
     """Every mu with lo_i <= mu_i <= hi_i and sum(mu_i - lo_i) == total, in
-    descending lexicographic order (`label_sort_key` order at one size).
+    descending tuple order.
 
     The bounds must make every such mu a partition.  The rows below row i
     move at most cap[i + 1] = sum(hi_j - lo_j for j > i) boxes, so row i moves
@@ -61,7 +61,7 @@ def add_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...]:
     """All partitions obtained from lam by adding `boxes` boxes, no two in a column.
 
     Equivalently all mu interlacing lam from above, mu_1 >= lam_1 >= mu_2 >=
-    lam_2 >= ... >= mu_{r+1} >= 0, in `label_sort_key` order.
+    lam_2 >= ... >= mu_{r+1} >= 0, in descending tuple order.
 
     Memoised per (lam, boxes), so lam must be hashable (a Partition or a
     plain tuple of parts, not a list).
@@ -77,7 +77,7 @@ def remove_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...
     """All partitions obtained from lam by deleting `boxes` boxes, no two in a column.
 
     Equivalently all mu interlacing lam from below, lam_1 >= mu_1 >= lam_2 >=
-    mu_2 >= ... >= lam_r >= mu_r >= 0, in `label_sort_key` order.  Such a mu
+    mu_2 >= ... >= lam_r >= mu_r >= 0, in descending tuple order.  Such a mu
     keeps lam_2 + ... + lam_r boxes plus lam_1 - `boxes` more.
 
     Memoised per (lam, boxes), like add_horizontal_strips.
@@ -93,14 +93,11 @@ def remove_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...
 
 def _pair_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipartition, ...]:
     """Every (first, second) with d boxes moved on the first component and
-    boxes - d on the second, in `label_sort_key` order.
+    boxes - d on the second, in descending tuple order.
 
-    Each strip tuple is already in that order, and first components for
-    different d have different sizes, so they never tie: sorting the first
+    Each strip tuple is already in that order, so sorting the first
     components once and emitting each one's seconds as they come gives the
-    order of sorting every pair.  The first components sort as plain tuples,
-    descending: on distinct partitions that is `label_sort_key` order, since
-    both put an extension before its prefix.  A first component of size
+    order of sorting every pair.  A first component of size
     |start.first| + d (adding) or |start.first| - d (deleting) takes the
     seconds of d.  The pairs become Bipartitions through `tuple.__new__`,
     as the NamedTuple constructor would make them.
@@ -196,7 +193,7 @@ class RepMultiset:
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"(t={l.t}, {tuple(l.alpha)}, {tuple(l.beta)})x{m}" for l, m in sorted(self.counts.items())
+            f"(t={l.t}, {tuple(l.alpha)}, {tuple(l.beta)})x{self.counts[l]}" for l in self.sorted_labels()
         )
         return f"RepMultiset({{{body}}})"
 
@@ -207,13 +204,8 @@ class RepMultiset:
         return max(self.counts.values(), default=1) == 1
 
     def sorted_labels(self) -> list[SymbolLabel]:
-        return sorted(
-            self.counts,
-            key=lambda l: (
-                l.t,
-                weyl_characters.label_sort_key(Bipartition(l.alpha, l.beta)),
-            ),
-        )
+        """The labels in descending tuple order; one support means one t."""
+        return sorted(self.counts, reverse=True)
 
     def union(self, other: "RepMultiset") -> "RepMultiset":
         merged = dict(self.counts)

@@ -9,6 +9,7 @@ share across threads.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 from operator import add, ge, index, sub
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -223,7 +224,7 @@ def from_core_quotient(t: int, quotient: Bipartition) -> Partition:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n in descending lexicographic order; a negative n raises ValueError."""
+    """All partitions of n in descending tuple order; a negative n raises ValueError."""
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
 
@@ -237,9 +238,9 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 
 def bipartitions_of(n: int) -> Iterator[Bipartition]:
-    """All bipartitions of n, first component major, descending; a negative n raises ValueError."""
+    """All bipartitions of n in descending tuple order; a negative n raises ValueError."""
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     parts = [tuple(partitions_of(k)) for k in range(n + 1)]
-    return (Bipartition(first, second)
-            for j in range(n, -1, -1) for first in parts[j] for second in parts[n - j])
+    firsts = sorted(chain.from_iterable(parts), reverse=True)
+    return (Bipartition(first, second) for first in firsts for second in parts[n - first.size])

@@ -14,6 +14,7 @@ and raises.
 from __future__ import annotations
 
 from functools import cache, total_ordering
+from operator import index
 from typing import NamedTuple
 
 from .partitions import (
@@ -63,7 +64,8 @@ def degree_u(lam: Partition) -> IntPolynomial:
 class SymbolLabel:
     """Cuspidal-support label (t, alpha, beta) of a unipotent representation of U_n(q).
 
-    alpha and beta are stored as Partitions, so parts that do not form a
+    t must be an integer (`operator.index`), like the parts of a Partition,
+    and alpha and beta are stored as Partitions, so parts that do not form a
     partition raise the Partition error.  Immutable: assigning to any
     attribute raises AttributeError.  Labels compare (equality and order) by
     (t, alpha, beta), and only with other labels.
@@ -76,6 +78,7 @@ class SymbolLabel:
     __slots__ = ("t", "alpha", "beta", "rank", "support", "_hash")
 
     def __init__(self, t: int, alpha: Partition, beta: Partition):
+        t = index(t)
         if t < 0:
             raise ValueError("cuspidal support index must be nonnegative")
         alpha, beta = Partition(alpha), Partition(beta)
@@ -154,14 +157,9 @@ def to_symbol(lam: Partition) -> SymbolLabel:
     Memoised per partition, like its inverse `from_symbol`: lam is made a
     Partition first (so a list or a tuple with trailing zeros finds the same
     entry).  The memo holds the triple, not the label, and the label comes
-    from the `symbol` memo.  `cache_info` and `cache_clear` are those of the
-    triple memo.
+    from the `symbol` memo.
     """
     return symbol(*_to_symbol(Partition(lam)))
-
-
-to_symbol.cache_info = _to_symbol.cache_info
-to_symbol.cache_clear = _to_symbol.cache_clear
 
 
 @cache

@@ -97,7 +97,7 @@ def typeb_column(klass: Bipartition) -> Mapping[Bipartition, int]:
 
 @cache
 def labels_typeb(a: int) -> tuple[Bipartition, ...]:
-    """All labels of W_a, in the order of bipartitions_of."""
+    """All labels of W_a, in descending tuple order (that of bipartitions_of)."""
     return tuple(bipartitions_of(a))
 
 
@@ -196,16 +196,6 @@ class SignedPermutationGroup:
 # -- character tables ----------------------------------------------------
 
 
-def label_sort_key(label):
-    """Documented total order: descending lexicographic on part sequences,
-    first component major for bipartitions.  The terminator sentinel makes
-    (1,1) precede (1), so (n) comes first and (1**n) last.
-    """
-    if isinstance(label, Bipartition):
-        return (label_sort_key(label.first), label_sort_key(label.second))
-    return tuple(-p for p in label) + (1,)
-
-
 class CharacterTable(NamedTuple):
     group: str
     labels: tuple
@@ -247,10 +237,10 @@ class CharacterTable(NamedTuple):
 
 
 def _character_table(group: str, labels, class_size, column) -> CharacterTable:
-    """Square table: labels and classes are both `labels` in `label_sort_key`
-    order.  `column(klass)` maps every label to its value at klass and is read
-    once per class."""
-    labels = tuple(sorted(labels, key=label_sort_key))
+    """Square table: labels and classes are both `labels`, which come in
+    descending tuple order.  `column(klass)` maps every label to its value at
+    klass and is read once per class."""
+    labels = tuple(labels)
     columns = [tuple(map(column(k).__getitem__, labels)) for k in labels]
     return CharacterTable(
         group=group,

@@ -16,7 +16,9 @@ Harish-Chandra index [G:P] of a stratum term's parabolic, from dense
 products.  `hc_induce_by_pieri_counter` repeats Harish-Chandra induction
 as plain iterated Pieri steps counted in a Counter, and
 `two_quotient_by_parity_split` reads the 2-quotient off its definition
-without the library's beta-set code.  Two identities come from outside
+without the library's beta-set code.  `label_sort_key` states the label
+order as a recursive key, against which the library's plain descending
+tuple order is checked.  Two identities come from outside
 the engine and tie whole tables together: the Lefschetz point count at
 r = 1 (`lefschetz_number` against `isotropic_subspace_count`) and the
 one-box restriction from one theta to the next
@@ -28,7 +30,6 @@ from functools import cache, reduce
 from itertools import permutations
 
 from unicoh import Bipartition, IntPolynomial, Partition, border_strips, pieri_induce
-from unicoh.weyl_characters import label_sort_key
 from unicoh.deligne_lusztig import CohomologyTable, _restrict_one_box, coxeter_hook, stratum_term_dimension
 from unicoh.polynomial import linear_combination, prod, q_minus_one, q_minus_sign, two_term_ratio
 from unicoh.unipotent import SymbolLabel, _hooks_flat, a_exponent, symbol_degree
@@ -245,6 +246,16 @@ def unpruned_remove_strips(lam: Partition, boxes: int) -> list[Partition]:
 
     build(0, boxes, [])
     return out
+
+
+def label_sort_key(label):
+    """Documented total order: descending lexicographic on part sequences,
+    first component major for bipartitions.  The terminator sentinel makes
+    (1,1) precede (1), so (n) comes first and (1**n) last.
+    """
+    if isinstance(label, Bipartition):
+        return (label_sort_key(label.first), label_sort_key(label.second))
+    return tuple(-p for p in label) + (1,)
 
 
 def pieri_by_nested_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipartition, ...]:

@@ -17,7 +17,6 @@ from unicoh import (
     from_symbol,
     stratum_cohomology,
     stratum_term,
-    tate_twist,
     verify_stratum,
 )
 from unicoh import deligne_lusztig as dl
@@ -31,7 +30,7 @@ from unicoh.deligne_lusztig import (
 )
 from unicoh.unipotent import symbol, to_symbol
 
-from oracles import isotropic_subspace_count, lefschetz_number, stratum_restriction_failures
+from oracles import isotropic_subspace_count, label_sort_key, lefschetz_number, stratum_restriction_failures
 
 
 def labels_as_partitions(reps) -> set[tuple[int, ...]]:
@@ -567,11 +566,17 @@ class TestRestrictionIdentity:
         assert checks, "no checks generated"
         assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
 
-    def test_twist_shifts_exponent_by_two(self):
-        assert tate_twist(0) == 2
-
 
 TABLES = {"engine": stratum_cohomology, "closed": closed_stratum_cohomology}
+
+
+@pytest.mark.parametrize("theta", range(9))
+@pytest.mark.parametrize("table", [stratum_cohomology, closed_stratum_cohomology, coxeter_cohomology])
+def test_entries_list_labels_in_oracle_order(table, theta):
+    for entry in table(theta).entries:
+        labels = entry.constituents.sorted_labels()
+        assert labels == sorted(labels, key=lambda l: (l.t, label_sort_key(l.bipartition)))
+        assert labels == list(entry.constituents)
 
 
 class TestPointCount:

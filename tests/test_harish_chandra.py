@@ -21,10 +21,10 @@ from unicoh import (
 )
 from unicoh.harish_chandra import add_horizontal_strips, remove_horizontal_strips
 from unicoh.unipotent import symbol
-from unicoh.weyl_characters import label_sort_key
 
 from oracles import (
     hc_induce_by_pieri_counter,
+    label_sort_key,
     pieri_by_nested_strips,
     unpruned_add_strips,
     unpruned_remove_strips,
@@ -333,6 +333,11 @@ class TestRepMultiset:
         assert multiset.to_json()[0]["multiplicity"] == 1
         assert type(multiset.to_json()[0]["multiplicity"]) is int
         assert RepMultiset(kind({self.A: False})).counts == {}
+
+    def test_repr_lists_labels_in_descending_order(self):
+        multiset = RepMultiset({self.B: 1, self.A: 2})
+        assert repr(multiset) == "RepMultiset({(t=1, (2,), ())x2, (t=1, (1, 1), ())x1})"
+        assert multiset.sorted_labels() == list(multiset) == [self.A, self.B]
 
     @pytest.mark.parametrize("kind", ITERABLES)
     def test_iterable_counts_labels(self, kind):

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts in scripts/, run as a user would run them."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -28,8 +29,9 @@ def script_env() -> dict[str, str]:
 
 
 def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+    # under -O: a check in a script must not be an assert, which -O strips
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *argv],
+        [sys.executable, "-O", str(SCRIPTS / name), *argv],
         capture_output=True, text=True, env=script_env(), timeout=300,
     )
 
@@ -93,6 +95,15 @@ def test_stratum_tables_script_exports_closed_formula(tmp_path):
     for theta, document in enumerate(documents):
         expected = json.loads(json.dumps(closed_stratum_cohomology(theta).to_json()))
         assert document == expected
+
+
+def test_stratum_tables_export_digest(tmp_path):
+    out = tmp_path / "tables.json"
+    proc = run_script("stratum_tables.py", "--max-theta", "6", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "12adfce6ff882f980e0527a5810c59acc685d58131e526b5eb433e0a7714a47f"
+    )
 
 
 def test_stratum_tables_negative_cap_is_usage_error():

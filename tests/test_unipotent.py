@@ -295,6 +295,16 @@ class TestStoredRankAndHash:
         a, b = symbol(1, (2,), ()), symbol(1, (1, 1), (3,))
         assert b < a and a > b and a <= a and not a < a
 
+    @pytest.mark.parametrize("t", [1.0, "1"])
+    def test_t_must_be_an_integer(self, t):
+        with pytest.raises(TypeError):
+            SymbolLabel(t, (2,), ())
+
+    def test_t_is_stored_as_a_plain_int(self):
+        sym = SymbolLabel(True, (2,), ())
+        assert type(sym.t) is int and type(sym.rank) is int
+        assert sym == symbol(1, (2,), ()) and sym.to_json() == {"t": 1, "alpha": [2], "beta": []}
+
     def test_rank_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
             SymbolLabel(0, Partition(), Partition(), 0)
@@ -366,7 +376,7 @@ class TestToSymbolMemo:
     @pytest.fixture
     def cleared_after(self):
         yield
-        to_symbol.cache_clear()
+        unipotent._to_symbol.cache_clear()
 
     def test_list_and_padded_tuple_find_the_partition(self):
         lam = Partition((4, 2, 2, 1))
@@ -385,9 +395,9 @@ class TestToSymbolMemo:
 
     def test_second_page_adds_no_miss(self):
         stratum_cohomology(12)
-        before = to_symbol.cache_info()
+        before = unipotent._to_symbol.cache_info()
         stratum_cohomology(12)
-        after = to_symbol.cache_info()
+        after = unipotent._to_symbol.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
 
     def test_translation_fault_behind_warm_memo(self, monkeypatch, cleared_after):
@@ -404,7 +414,7 @@ class TestToSymbolMemo:
         # translated: the fault is not seen yet
         assert stratum_cohomology(4) == clean
         assert verify_stratum(4).ok
-        to_symbol.cache_clear()
+        unipotent._to_symbol.cache_clear()
         assert verify_stratum(4).ok is False
 
 

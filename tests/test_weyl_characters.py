@@ -16,10 +16,11 @@ from unicoh import (
     sym_class_size,
     typeb_class_size,
 )
-from unicoh.weyl_characters import label_sort_key, labels_typeb, signed_cycle_type, typeb_column
+from unicoh.weyl_characters import labels_typeb, signed_cycle_type, typeb_column
 
 from oracles import (
     chi_typeb_by_recursion,
+    label_sort_key,
     permutation_of_cycle_type,
     permutation_sign,
     sym_class_size_bruteforce,
@@ -290,3 +291,23 @@ class TestCharacterTables:
         assert set(data) == {"group", "labels", "classes", "class_sizes", "values"}
         assert all(isinstance(v, str) for row in data["values"] for v in row)
         assert len(data["values"]) == len(data["labels"]) == len(data["classes"])
+
+
+class TestOneLabelOrder:
+    """Enumerations and character tables list labels in descending tuple
+    order, the order of the `label_sort_key` oracle."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_enumerations(self, n):
+        partitions = list(partitions_of(n))
+        assert partitions == sorted(partitions, key=label_sort_key)
+        labels = list(bipartitions_of(n))
+        assert labels == sorted(labels, key=label_sort_key) == sorted(labels, reverse=True)
+        assert len(set(labels)) == len(labels)
+        assert labels_typeb(n) == tuple(labels)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_character_table_labels(self, n):
+        for table in (character_table_sym(n), character_table_typeb(n)):
+            assert list(table.labels) == sorted(table.labels, key=label_sort_key)
+            assert table.classes == table.labels
