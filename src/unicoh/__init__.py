@@ -26,11 +26,11 @@ from .partitions import (
 from .polynomial import IntPolynomial
 from .weyl_characters import (
     CharacterTable,
-    SignedPermutationGroup,
     character_table_sym,
     character_table_typeb,
     chi_sym,
     chi_typeb,
+    signed_class_sizes,
     sym_class_size,
     typeb_class_size,
 )

@@ -377,7 +377,7 @@ def _foundation_checks() -> list[dl.CheckResult]:
         checks.append(dl.CheckResult(f"character-orthogonality (W_{a})", ok))
 
     for a in range(FOUNDATION_RANK + 1):
-        brute = wc.SignedPermutationGroup(a).class_sizes()
+        brute = wc.signed_class_sizes(a)
         bad = any(wc.typeb_class_size(k) != brute.get(k, 0) for k in bipartitions_of(a))
         checks.append(dl.CheckResult(f"class-sizes-vs-brute-force (W_{a})", not bad))
 

@@ -110,16 +110,14 @@ def coxeter_hook(k: int, a: int) -> Partition:
 def coxeter_cohomology(k: int) -> CohomologyTable:
     """Cohomology of the Coxeter variety for U_{2k+1}(q).
 
+    The top Ekedahl-Oort stratum theta' = theta = k, whose Levi is the whole group:
+    the entries of `eo_stratum_cohomology(k, k)`, each label checked by `stratum_term`.
     Supported in degrees k..2k; degree k+i carries the labels of exponents
     2i and 2i+1, the top degree 2k the trivial label with exponent 2k.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    entries = tuple(
-        CohomologyEntry(k + a // 2, a, RepMultiset((to_symbol(coxeter_hook(k, a)),)))
-        for a in range(2 * k + 1)
-    )
-    return CohomologyTable(variety=f"coxeter(k={k})", entries=entries)
+    return CohomologyTable(f"coxeter(k={k})", eo_stratum_cohomology(k, k).entries)
 
 
 def coxeter_eigenspace_dim(k: int, a: int) -> IntPolynomial:
@@ -532,13 +530,12 @@ def coxeter_restriction_checks(k: int) -> list[CheckResult]:
 
 
 def coxeter_dimension_checks(k: int) -> list[CheckResult]:
-    """Eigenspace dimension formula equals the hook-formula generic degree."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    """Eigenspace dimension formula equals each Coxeter table entry's dimension_poly()."""
     checks = []
-    for a in range(2 * k + 1):
+    for entry in coxeter_cohomology(k).entries:
+        a = entry.frobenius_exponent
         closed_form = coxeter_eigenspace_dim(k, a)
-        hook_form = hc.symbol_degree(to_symbol(coxeter_hook(k, a)))
+        hook_form = entry.constituents.dimension_poly()
         checks.append(
             CheckResult(
                 f"coxeter-eigenspace-dimension (k={k}, exponent={a})",

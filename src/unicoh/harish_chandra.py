@@ -72,15 +72,12 @@ def add_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...]:
     return _interlacing(lam + (0,), ((lam[0] if lam else 0) + boxes,) + lam, boxes)
 
 
-@cache
 def remove_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...]:
     """All partitions obtained from lam by deleting `boxes` boxes, no two in a column.
 
     Equivalently all mu interlacing lam from below, lam_1 >= mu_1 >= lam_2 >=
     mu_2 >= ... >= lam_r >= mu_r >= 0, in descending tuple order.  Such a mu
     keeps lam_2 + ... + lam_r boxes plus lam_1 - `boxes` more.
-
-    Memoised per (lam, boxes), like add_horizontal_strips.
     """
     lam = Partition(lam)
     if boxes < 0:

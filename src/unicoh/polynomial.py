@@ -278,8 +278,3 @@ def two_term_ratio(
 def q_minus_sign(j: int) -> IntPolynomial:
     """q**j - (-1)**j, the factor attached to unitary groups."""
     return IntPolynomial.q_power(j) - IntPolynomial.constant((-1) ** j)
-
-
-def q_minus_one(j: int) -> IntPolynomial:
-    """q**j - 1, the factor attached to general linear groups."""
-    return IntPolynomial.q_power(j) - IntPolynomial.one()

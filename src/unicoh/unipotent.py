@@ -138,6 +138,9 @@ def symbol(t: int, alpha: Partition, beta: Partition) -> SymbolLabel:
     parts finds the entry of the equal Partition only without trailing
     zeros.  On a miss SymbolLabel makes them Partitions.  The only memo
     that returns labels, so clearing it on its own drops every label.
+    t must already be an int: the memo keys 1.0 and 1 as one entry, so after
+    symbol(1, (2,), ()) a call symbol(1.0, (2,), ()) returns that label instead
+    of raising.  SymbolLabel checks; every caller in the package passes an int.
     """
     return SymbolLabel(t, alpha, beta)
 

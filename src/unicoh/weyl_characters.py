@@ -8,8 +8,9 @@ class with its last cycle removed.  `chi_typeb` reads its value from that
 column, and the W_a character table reads each class's whole column once,
 so its values do not pass through `chi_typeb`.  A symmetric-group value is
 the type-B value at (lam, empty), (nu, empty); the S_n table reads them one
-`chi_sym` value at a time.  A brute-force signed-permutation model of the
-type-B group is provided as an independent oracle for small rank.
+`chi_sym` value at a time.  `signed_class_sizes` counts the classes of the
+type-B group by brute force over signed permutations, an independent oracle
+for small rank.
 """
 
 from __future__ import annotations
@@ -160,37 +161,15 @@ def signed_cycle_type(element: tuple[int, ...]) -> Bipartition:
     return Bipartition(Partition(sorted(pos, reverse=True)), Partition(sorted(neg, reverse=True)))
 
 
-class SignedPermutationGroup:
-    """Explicit model of the hyperoctahedral group W_a for small rank.
-
-    Exposes element enumeration, composition, and the partition of the
-    2**a * a! elements into conjugacy classes labelled by signed cycle type.
-    Intended as a test oracle; ranks above the cap are rejected.
-    """
-
-    def __init__(self, a: int):
-        if a < 0:
-            raise ValueError("rank must be nonnegative")
-        if a > BRUTE_FORCE_RANK_CAP:
-            raise RankCapError(f"rank {a} above brute-force cap {BRUTE_FORCE_RANK_CAP}")
-        self.rank = a
-        self.elements = tuple(signed_permutations(a))
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @staticmethod
-    def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-        """(f * g)(j) = f(g(j))."""
-
-        def apply(h: tuple[int, ...], j: int) -> int:
-            return h[j - 1] if j > 0 else -h[-j - 1]
-
-        return tuple(apply(f, apply(g, j)) for j in range(1, len(f) + 1))
-
-    def class_sizes(self) -> Counter[Bipartition]:
-        return Counter(signed_cycle_type(element) for element in self.elements)
+def signed_class_sizes(a: int) -> Counter[Bipartition]:
+    """Class sizes of W_a by brute force: how many of its 2**a * a! signed permutations
+    have each signed cycle type.  The independent side of the class-size checks, for
+    small rank: ranks above the cap are rejected before any element is built."""
+    if a < 0:
+        raise ValueError("rank must be nonnegative")
+    if a > BRUTE_FORCE_RANK_CAP:
+        raise RankCapError(f"rank {a} above brute-force cap {BRUTE_FORCE_RANK_CAP}")
+    return Counter(map(signed_cycle_type, signed_permutations(a)))
 
 
 # -- character tables ----------------------------------------------------

@@ -18,11 +18,13 @@ as plain iterated Pieri steps counted in a Counter, and
 `two_quotient_by_parity_split` reads the 2-quotient off its definition
 without the library's beta-set code.  `label_sort_key` states the label
 order as a recursive key, against which the library's plain descending
-tuple order is checked.  Two identities come from outside
-the engine and tie whole tables together: the Lefschetz point count at
-r = 1 (`lefschetz_number` against `isotropic_subspace_count`) and the
-one-box restriction from one theta to the next
-(`stratum_restriction_failures`).
+tuple order is checked.  `q_minus_one` is the GL factor q**j - 1 of the
+dense degree and index products, and `compose` multiplies two signed
+permutations for the conjugation-invariance test of `signed_cycle_type`.
+Two identities come from outside the engine and tie whole tables together:
+the Lefschetz point count at r = 1 (`lefschetz_number` against
+`isotropic_subspace_count`) and the one-box restriction from one theta to
+the next (`stratum_restriction_failures`).
 """
 
 from collections import Counter
@@ -31,8 +33,23 @@ from itertools import permutations
 
 from unicoh import Bipartition, IntPolynomial, Partition, border_strips, pieri_induce
 from unicoh.deligne_lusztig import CohomologyTable, _restrict_one_box, coxeter_hook, stratum_term_dimension
-from unicoh.polynomial import linear_combination, prod, q_minus_one, q_minus_sign, two_term_ratio
+from unicoh.polynomial import linear_combination, prod, q_minus_sign, two_term_ratio
 from unicoh.unipotent import SymbolLabel, _hooks_flat, a_exponent, symbol_degree
+
+
+def q_minus_one(j: int) -> IntPolynomial:
+    """q**j - 1, the factor attached to general linear groups."""
+    return IntPolynomial.q_power(j) - IntPolynomial.one()
+
+
+def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """(f * g)(j) = f(g(j)) for signed permutations written as in
+    `signed_permutations`: f[i] is the image of i + 1."""
+
+    def apply(h: tuple[int, ...], j: int) -> int:
+        return h[j - 1] if j > 0 else -h[-j - 1]
+
+    return tuple(apply(f, apply(g, j)) for j in range(1, len(f) + 1))
 
 
 def partition_parts_by_loop(parts) -> tuple[int, ...]:

@@ -12,7 +12,6 @@ from unicoh import (
     Bipartition,
     IntPolynomial,
     Partition,
-    SignedPermutationGroup,
     beta_set,
     bipartitions_of,
     character_table_sym,
@@ -30,6 +29,7 @@ from unicoh import (
     partitions_of,
     pieri_induce,
     induction_multiplicity_oracle,
+    signed_class_sizes,
     stratum_cohomology,
     to_symbol,
     two_core,
@@ -127,7 +127,7 @@ def test_criterion_05_orthogonality_and_class_sizes():
                 )
                 assert inner == (order if i == j else 0)
     for a in range(0, 5):
-        brute = SignedPermutationGroup(a).class_sizes()
+        brute = signed_class_sizes(a)
         for klass in bipartitions_of(a):
             assert typeb_class_size(klass) == brute.get(klass, 0)
     report(5, "orthogonality exact for S_n (n<=8), W_a (a<=5); brute-force class sizes (a<=4)", budget.check())

@@ -320,7 +320,6 @@ def test_the_memo_walk_finds_every_memo():
     assert sorted(f"{memo.__module__}.{memo.__qualname__}" for memo in MEMOS) == [
         "unicoh.deligne_lusztig.index_form_row",
         "unicoh.harish_chandra.add_horizontal_strips",
-        "unicoh.harish_chandra.remove_horizontal_strips",
         "unicoh.partitions.border_strips",
         "unicoh.unipotent._to_symbol",
         "unicoh.unipotent.degree_gl",
@@ -475,6 +474,31 @@ class TestLabelMemoFault:
         with pytest.raises(VerificationError, match="stratum term mismatch"):
             dl.stratum_term(*self.CELL)
         assert dl.verify_stratum(6).ok is False
+
+
+class TestCoxeterTableGuard:
+    """The Coxeter table is the top Ekedahl-Oort stratum, so each of its
+    labels passes the dual-path comparison of `stratum_term`."""
+
+    @pytest.fixture
+    def dropped_label(self, monkeypatch):
+        original = dl._stratum_term_explicit
+
+        def drop_one(theta, theta_prime, a):
+            term = original(theta, theta_prime, a)
+            return term.difference(hc.RepMultiset([next(iter(term.counts))]))
+
+        monkeypatch.setattr(dl, "_stratum_term_explicit", drop_one)
+
+    def test_library_raises(self, dropped_label):
+        with pytest.raises(VerificationError, match="stratum term mismatch"):
+            dl.coxeter_cohomology(3)
+
+    def test_cli_reports_verification_failure(self, capsys, dropped_label):
+        status, out, err = run(capsys, "coxeter", "--k", "3", "-q")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("verification failure: stratum term mismatch at (theta=3, theta'=3, a=0)")
 
 
 class TestArgumentBoundary:
@@ -680,7 +704,7 @@ class TestLibraryFailures:
         def capped(a):
             raise RankCapError("injected")
 
-        monkeypatch.setattr(wc, "SignedPermutationGroup", capped)
+        monkeypatch.setattr(wc, "signed_class_sizes", capped)
         status, out, err = run(capsys, "verify", "-q")
         assert status == 1
         assert out == ""

@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import example, strategies as st
 
 from unicoh import ExactDivisionError, IntPolynomial
-from unicoh.polynomial import prod, q_minus_one, q_minus_sign
+from unicoh.polynomial import prod, q_minus_sign
 from unicoh.polynomial import linear_combination, two_term_ratio
 
+from oracles import q_minus_one
 from strategies import int_polys
 
 
