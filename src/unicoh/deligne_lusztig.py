@@ -101,8 +101,16 @@ def _check_exponent(k: int, a: int) -> None:
         raise ValueError(f"exponent {a} out of range 0..{2 * k}")
 
 
+@cache
 def coxeter_hook(k: int, a: int) -> Partition:
-    """Hook partition (1 + a, 1**(2k - a)) of 2k + 1 attached to eigenvalue exponent a."""
+    """Hook partition (1 + a, 1**(2k - a)) of 2k + 1 attached to eigenvalue exponent a.
+
+    Memoised on the two integers, so each stratum cell and index-form row
+    reads one built and checked Partition.  It reads no label, like
+    `index_form_row`.  `k` and `a` must already be `int`s, as for `symbol`:
+    the memo keys 1.0 and 1 as one entry.  The memo stores no exception, so
+    an out-of-range `a` raises on every call.
+    """
     _check_exponent(k, a)
     return Partition((1 + a,) + (1,) * (2 * k - a))
 
@@ -286,28 +294,41 @@ def _chain_head(theta: int, a: int, chain: list[RepMultiset]) -> RepMultiset:
     The head is the leading term minus its overlap with the next one; after
     that, leftovers must cancel pairwise down the chain and nothing may
     remain at the end, otherwise the bookkeeping is inconsistent.
+
+    Every term must be multiplicity-free, as `stratum_term` guarantees, so
+    the chain is held as sets of labels: each step is a C-level set
+    difference or subset test that reuses the hashes stored in the sets and
+    runs no `SymbolLabel.__hash__`.  A one-term chain returns its term; a
+    longer one builds its head as one RepMultiset at the end.
     """
-    head = chain[0]
-    carry = RepMultiset()
-    if len(chain) > 1:
-        # clipped differences: m0 - min(m0, m1) = max(m0 - m1, 0), so no
-        # intersection is needed
-        head = chain[0].difference(chain[1])
-        carry = chain[1].difference(chain[0])
+    for column, term in zip(_chain_strata(theta, a), chain):
+        if not term.is_multiplicity_free():
+            raise VerificationError(
+                f"chain term not multiplicity-free for exponent {a} at theta={theta} "
+                f"in column {column}: {term!r}"
+            )
+    if len(chain) == 1:
+        return chain[0]
+    first = set(chain[0].counts)
+    carry = set(chain[1].counts)
+    head = first - carry
+    carry -= first
     for j in range(2, len(chain)):
-        if not carry.is_subset(chain[j]):
-            missing = carry.difference(chain[j])
+        term = set(chain[j].counts)
+        if not carry <= term:
             raise VerificationError(
                 f"exactness failure for exponent {a} at theta={theta}: "
-                f"{missing!r} has nowhere to cancel in column {_chain_strata(theta, a)[j]}"
+                f"{RepMultiset(dict.fromkeys(carry - term, 1))!r} has nowhere to cancel "
+                f"in column {_chain_strata(theta, a)[j]}"
             )
-        carry = chain[j].difference(carry)
-    if len(carry):
+        term -= carry
+        carry = term
+    if carry:
         raise VerificationError(
             f"exactness failure for exponent {a} at theta={theta}: "
-            f"uncancelled tail {carry!r}"
+            f"uncancelled tail {RepMultiset(dict.fromkeys(carry, 1))!r}"
         )
-    return head
+    return RepMultiset(dict.fromkeys(head, 1))
 
 
 def stratum_cohomology(theta: int) -> CohomologyTable:
@@ -449,11 +470,8 @@ def verify_stratum(theta: int) -> StratumVerification:
         ]
 
     def duality_check():
-        return [
-            f"H^{d}"
-            for d in range(2 * theta + 1)
-            if table.degree_constituents(d) != table.degree_constituents(2 * theta - d)
-        ]
+        by_degree = [table.degree_constituents(d) for d in range(2 * theta + 1)]
+        return [f"H^{d}" for d, reps in enumerate(by_degree) if reps != by_degree[2 * theta - d]]
 
     def exponent_check():
         return [

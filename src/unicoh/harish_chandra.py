@@ -32,27 +32,34 @@ def _interlacing(lo: tuple[int, ...], hi: tuple[int, ...], total: int) -> tuple[
     """Every mu with lo_i <= mu_i <= hi_i and sum(mu_i - lo_i) == total, in
     descending tuple order.
 
-    The bounds must make every such mu a partition.  The rows below row i
-    move at most cap[i + 1] = sum(hi_j - lo_j for j > i) boxes, so row i moves
-    at least `remaining - cap[i + 1]`: every branch yields exactly one mu.
+    The bounds must make every such mu a partition.  Only the rows with
+    hi_i > lo_i can move, so the recursion runs over those alone and the
+    other rows keep lo_i: adding to a one-column lam, it recurses over two
+    rows, not len(lam) + 1.  The movable rows after the j-th move at most
+    cap[j + 1] = sum of their hi_i - lo_i boxes, so the j-th moves at least
+    `remaining - cap[j + 1]`: every branch yields exactly one mu.
     """
-    cap = [0] * (len(lo) + 1)
-    for i in range(len(lo) - 1, -1, -1):
-        cap[i] = cap[i + 1] + hi[i] - lo[i]
+    rows = [i for i in range(len(lo)) if hi[i] > lo[i]]
+    spans = [hi[i] - lo[i] for i in rows]
+    cap = [0] * (len(rows) + 1)
+    for j in range(len(rows) - 1, -1, -1):
+        cap[j] = cap[j + 1] + spans[j]
     if not 0 <= total <= cap[0]:
         return ()
     out: list[Partition] = []
+    parts = list(lo)
 
-    def build(i: int, remaining: int, prefix: list[int]) -> None:
-        if i == len(lo):
-            out.append(Partition(prefix))
+    def build(j: int, remaining: int) -> None:
+        if j == len(rows):
+            out.append(Partition(parts))
             return
-        for move in range(min(hi[i] - lo[i], remaining), max(0, remaining - cap[i + 1]) - 1, -1):
-            prefix.append(lo[i] + move)
-            build(i + 1, remaining - move, prefix)
-            prefix.pop()
+        # every leaf sets each movable row on its way down, so no reset is needed
+        i = rows[j]
+        for move in range(min(spans[j], remaining), max(0, remaining - cap[j + 1]) - 1, -1):
+            parts[i] = lo[i] + move
+            build(j + 1, remaining - move)
 
-    build(0, total, [])
+    build(0, total)
     return tuple(out)
 
 

@@ -408,3 +408,21 @@ def stratum_restriction_failures(upper: CohomologyTable, lower: CohomologyTable,
         if restricted != expected:
             failures.append(i)
     return failures
+
+
+def hard_lefschetz_failures(table: CohomologyTable, theta: int, reverse: bool = False) -> list[int]:
+    """The degrees i < theta at which some constituent of H^i, counted with
+    its multiplicity, is missing from H^(i+2); with `reverse`, some
+    constituent of H^(i+2) missing from H^i.
+
+    Y_theta is smooth and projective of dimension theta (Vollaard-Wedhorn),
+    and cup product with an ample class commutes with the group, so by hard
+    Lefschetz L: H^i -> H^(i+2) is an injective map of representations for
+    i < theta (Deligne, Weil II): without `reverse` the list must be empty.
+    """
+    failures = []
+    for i in range(theta):
+        low, high = table.degree_constituents(i), table.degree_constituents(i + 2)
+        if (high - low) if reverse else (low - high):
+            failures.append(i)
+    return failures

@@ -318,6 +318,7 @@ class TestPieriFaultReachesEngine:
 def test_the_memo_walk_finds_every_memo():
     # a new memo is a visible change here, and the fault fixtures empty it too
     assert sorted(f"{memo.__module__}.{memo.__qualname__}" for memo in MEMOS) == [
+        "unicoh.deligne_lusztig.coxeter_hook",
         "unicoh.deligne_lusztig.index_form_row",
         "unicoh.harish_chandra.add_horizontal_strips",
         "unicoh.partitions.border_strips",

@@ -30,7 +30,13 @@ from unicoh.deligne_lusztig import (
 )
 from unicoh.unipotent import symbol, to_symbol
 
-from oracles import isotropic_subspace_count, label_sort_key, lefschetz_number, stratum_restriction_failures
+from oracles import (
+    hard_lefschetz_failures,
+    isotropic_subspace_count,
+    label_sort_key,
+    lefschetz_number,
+    stratum_restriction_failures,
+)
 
 
 def labels_as_partitions(reps) -> set[tuple[int, ...]]:
@@ -46,6 +52,21 @@ class TestCoxeterHooks:
     def test_range_check(self):
         with pytest.raises(ValueError):
             coxeter_hook(2, 5)
+
+    def test_memo_holds_the_hook(self):
+        for k in range(13):
+            for a in range(2 * k + 1):
+                hook = coxeter_hook(k, a)
+                assert type(hook) is Partition
+                assert hook == Partition((1 + a,) + (1,) * (2 * k - a))
+                assert coxeter_hook(k, a) is hook
+
+    def test_range_check_with_a_warm_memo(self):
+        # the memo stores no exception, so the check runs on every call
+        coxeter_hook(2, 4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exponent 5 out of range 0..4"):
+                coxeter_hook(2, 5)
 
 
 class TestCoxeterCohomology:
@@ -606,6 +627,24 @@ class TestPointCount:
         assert [isotropic_subspace_count(theta)(3) for theta in (1, 2)] == [28, 6832]
 
 
+class TestHardLefschetz:
+    """Every constituent of H^i, with its multiplicity, occurs in H^(i+2)
+    for i < theta (`hard_lefschetz_failures`).  It checks the closed formula
+    itself, not only the engine's agreement with it, and the chain
+    cancellation of `stratum_cohomology` independently of the five checks."""
+
+    @pytest.mark.parametrize("method", TABLES)
+    @pytest.mark.parametrize("theta", range(21))
+    def test_lefschetz_map_is_injective(self, theta, method):
+        assert hard_lefschetz_failures(TABLES[method](theta), theta) == []
+
+    @pytest.mark.parametrize("method", TABLES)
+    def test_reverse_inclusion_fails(self, method):
+        # the control: 66 of the 78 pairs (theta, i) with i < theta <= 12
+        table = TABLES[method]
+        assert sum(len(hard_lefschetz_failures(table(theta), theta, reverse=True)) for theta in range(13)) == 66
+
+
 class TestStratumRestriction:
     """Restricting H^i(Y_theta) by one box gives H^i(Y_(theta-1)) +
     H^(i-2)(Y_(theta-1)) in every degree: observed, not proven (see
@@ -636,6 +675,35 @@ class TestGuardsThatRun:
         chain = [RepMultiset(), RepMultiset([x]), RepMultiset()]
         with pytest.raises(VerificationError, match="has nowhere to cancel in column 3"):
             dl._chain_head(3, 1, chain)
+
+    def test_chain_term_with_a_repeated_label_raises(self, monkeypatch):
+        # the middle term of the exponent-1 chain at theta = 3 holds one
+        # label twice; the chain is held as sets, so the guard must catch it
+        original = dl.stratum_term
+
+        def doubled(theta, theta_prime, a):
+            term = original(theta, theta_prime, a)
+            if (theta_prime, a) != (2, 1):
+                return term
+            counts = dict(term.counts)
+            counts[term.sorted_labels()[0]] = 2
+            return RepMultiset(counts)
+
+        monkeypatch.setattr(dl, "stratum_term", doubled)
+        with pytest.raises(VerificationError, match=r"not multiplicity-free .* at theta=3 in column 2"):
+            stratum_cohomology(3)
+
+    def test_duality_check_builds_each_degree_once(self, monkeypatch):
+        calls = []
+        original = dl.CohomologyTable.degree_constituents
+
+        def counted(self, degree):
+            calls.append(degree)
+            return original(self, degree)
+
+        monkeypatch.setattr(dl.CohomologyTable, "degree_constituents", counted)
+        assert verify_stratum(4).ok
+        assert calls == list(range(9))
 
     def test_exception_inside_one_check_fails_only_that_check(self, monkeypatch):
         def injected(self, degree):

@@ -74,6 +74,21 @@ class TestStripsMatchUnprunedOracle:
                     assert list(add_horizontal_strips(lam, d)) == unpruned_add_strips(lam, d)
                     assert list(remove_horizontal_strips(lam, d)) == unpruned_remove_strips(lam, d)
 
+    # long runs of rows that cannot move, which the recursion skips: the
+    # fixed rows must stay in place and the order must not change
+    SHAPES = {
+        "columns": [Partition((1,) * c) for c in range(13)],
+        "hooks": [Partition((h,) + (1,) * c) for h in range(1, 7) for c in range(11)],
+        "boxes": [Partition((w,) * h) for w in range(1, 6) for h in range(1, 6)],
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_shapes_with_fixed_rows(self, shape):
+        for lam in self.SHAPES[shape]:
+            for d in range(lam.size + 2):
+                assert list(add_horizontal_strips(lam, d)) == unpruned_add_strips(lam, d)
+                assert list(remove_horizontal_strips(lam, d)) == unpruned_remove_strips(lam, d)
+
     @given(partitions_up_to(30), st.integers(min_value=0, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_add_property(self, lam, d):
