@@ -419,18 +419,13 @@ def cmd_verify(args) -> Document:
         checks.extend(dl.verify_stratum(args.theta).checks)
     if args.k is not None:
         _check_cap(args, "k", args.k, "k")
-        checks.extend(dl.coxeter_dimension_checks(args.k))
-        if args.k >= 1:
-            checks.extend(dl.coxeter_restriction_checks(args.k))
+        checks.extend(dl.coxeter_checks(range(args.k, args.k + 1)))
     if args.theta is None and args.k is None:
         depth = {name: getattr(args, f"max_{name}", SWEEP_DEPTH) for name in ("theta", "k")}
         for name, cap in depth.items():
             _check_cap(args, name, cap, name)
         checks.extend(_foundation_checks())
-        for k in range(depth["k"] + 1):
-            checks.extend(dl.coxeter_dimension_checks(k))
-            if k >= 1:
-                checks.extend(dl.coxeter_restriction_checks(k))
+        checks.extend(dl.coxeter_checks(range(depth["k"] + 1)))
         for theta in range(depth["theta"] + 1):
             checks.extend(dl.verify_stratum(theta).checks)
 

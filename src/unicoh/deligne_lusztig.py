@@ -520,45 +520,52 @@ def _restrict_one_box(reps: RepMultiset) -> RepMultiset:
     return RepMultiset(restricted)
 
 
-def coxeter_restriction_checks(k: int) -> list[CheckResult]:
-    """Label-level restriction identity between ranks k and k - 1.
+def coxeter_checks(ks: range) -> list[CheckResult]:
+    """The Coxeter-table checks of each rank k in `ks`, in order.
 
-    Removing one box from an eigenspace label of the rank-k Coxeter table
-    must reproduce the same-exponent eigenspace one rank down plus the
-    Tate twist (exponent shift by 2) of the eigenspace two exponents down.
+    Rank k first gives one eigenspace-dimension check per entry: the closed
+    formula `coxeter_eigenspace_dim` must equal the entry's dimension_poly().
+    For k >= 1 it then gives the label-level restriction identity between
+    ranks k and k - 1: removing one box from an eigenspace label of the
+    rank-k table must reproduce the same-exponent eigenspace one rank down
+    plus the Tate twist (exponent shift by 2) of the eigenspace two
+    exponents down.
+
+    Each table is built once and handed to the next rank as its lower
+    table; the table below ks[0] is built only when ks[0] >= 1.  An empty
+    range, or one whose step is not 1, raises ValueError, and so does a
+    negative rank (through `coxeter_cohomology`): an empty check list
+    would pass.
     """
-    if k < 1:
-        raise ValueError("needs k >= 1")
-    upper = coxeter_cohomology(k)
-    lower = coxeter_cohomology(k - 1)
+    if not ks or ks.step != 1:
+        raise ValueError(f"needs a nonempty range of consecutive ranks, not {ks!r}")
+    lower = coxeter_cohomology(ks[0] - 1) if ks[0] >= 1 else None
     checks = []
-    for entry in upper.entries:
-        a = entry.frobenius_exponent
-        i = entry.degree - k
-        lhs = _restrict_one_box(entry.constituents)
-        rhs = lower.eigenspace(k - 1 + i, a).union(lower.eigenspace(k - 2 + i, a - 2))
-        checks.append(
-            CheckResult(
-                f"coxeter-restriction (k={k}, degree={entry.degree}, exponent={a})",
-                lhs == rhs,
-                f"{lhs!r} != {rhs!r}" if lhs != rhs else "",
+    for k in ks:
+        upper = coxeter_cohomology(k)
+        for entry in upper.entries:
+            a = entry.frobenius_exponent
+            closed_form = coxeter_eigenspace_dim(k, a)
+            hook_form = entry.constituents.dimension_poly()
+            checks.append(
+                CheckResult(
+                    f"coxeter-eigenspace-dimension (k={k}, exponent={a})",
+                    closed_form == hook_form,
+                    f"{closed_form} != {hook_form}" if closed_form != hook_form else "",
+                )
             )
-        )
-    return checks
-
-
-def coxeter_dimension_checks(k: int) -> list[CheckResult]:
-    """Eigenspace dimension formula equals each Coxeter table entry's dimension_poly()."""
-    checks = []
-    for entry in coxeter_cohomology(k).entries:
-        a = entry.frobenius_exponent
-        closed_form = coxeter_eigenspace_dim(k, a)
-        hook_form = entry.constituents.dimension_poly()
-        checks.append(
-            CheckResult(
-                f"coxeter-eigenspace-dimension (k={k}, exponent={a})",
-                closed_form == hook_form,
-                f"{closed_form} != {hook_form}" if closed_form != hook_form else "",
-            )
-        )
+        if k >= 1:
+            for entry in upper.entries:
+                a = entry.frobenius_exponent
+                i = entry.degree - k
+                lhs = _restrict_one_box(entry.constituents)
+                rhs = lower.eigenspace(k - 1 + i, a).union(lower.eigenspace(k - 2 + i, a - 2))
+                checks.append(
+                    CheckResult(
+                        f"coxeter-restriction (k={k}, degree={entry.degree}, exponent={a})",
+                        lhs == rhs,
+                        f"{lhs!r} != {rhs!r}" if lhs != rhs else "",
+                    )
+                )
+        lower = upper
     return checks

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import cache, partial
 from itertools import chain, repeat, starmap
 from math import factorial
-from operator import attrgetter, index, is_not, le
+from operator import attrgetter, index, is_not
 
 from .errors import RankCapError
 from . import weyl_characters
@@ -216,25 +216,6 @@ class RepMultiset:
         for label, mult in other.counts.items():
             merged[label] = merged.get(label, 0) + mult
         return RepMultiset(merged)
-
-    def difference(self, other: "RepMultiset") -> "RepMultiset":
-        """Remove the shared part (multiset minus, clipped at zero).
-
-        Each label is looked up in `other` once.  A sub-multiset of a checked
-        multiset passes the same checks, so the result skips the constructor.
-        """
-        get = other.counts.get
-        left = {}
-        for label, mult in self.counts.items():
-            rest = mult - get(label, 0)
-            if rest > 0:
-                left[label] = rest
-        multiset = object.__new__(RepMultiset)
-        object.__setattr__(multiset, "counts", left)
-        return multiset
-
-    def is_subset(self, other: "RepMultiset") -> bool:
-        return all(map(le, self.counts.values(), map(other.counts.get, self.counts, repeat(0))))
 
     def dimension_poly(self) -> IntPolynomial:
         """Sum of generic degrees over the multiset, as a polynomial in q,

@@ -76,9 +76,6 @@ class IntPolynomial:
         """Degree; the zero polynomial has degree -1 by convention."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -150,7 +147,7 @@ class IntPolynomial:
         used in this library are monic, so the step always succeeds.)
         """
         other = self._coerce(other)
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         div = other.coeffs
@@ -175,7 +172,7 @@ class IntPolynomial:
     def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
         """Divide, requiring a zero remainder."""
         quot, rem = self.divmod(other)
-        if not rem.is_zero():
+        if rem:
             raise ExactDivisionError(f"nonzero remainder {rem} dividing {self} by {other}")
         return quot
 

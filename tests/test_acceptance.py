@@ -40,7 +40,7 @@ from unicoh import (
 from unicoh.deligne_lusztig import (
     _stratum_term_explicit,
     _stratum_term_pieri,
-    coxeter_restriction_checks,
+    coxeter_checks,
 )
 
 
@@ -205,7 +205,7 @@ def test_criterion_11_restriction_identity():
     budget = Budget(60.0)
     total = 0
     for k in range(1, 7):
-        checks = coxeter_restriction_checks(k)
+        checks = [c for c in coxeter_checks(range(k, k + 1)) if c.name.startswith("coxeter-restriction ")]
         assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
         total += len(checks)
     report(11, f"restriction identity with Tate twist holds in {total} cases (k<=6)", budget.check())

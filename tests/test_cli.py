@@ -260,6 +260,28 @@ class TestVerify:
         assert data["ok"] is True
         assert all(c["passed"] for c in data["checks"])
 
+    @pytest.mark.parametrize(
+        "argv, terms, tables",
+        [(("-q",), 189, 7), (("--k", "6", "-q"), None, 2), (("--k", "0", "-q"), None, 1)],
+    )
+    def test_each_coxeter_table_is_built_once(self, capsys, monkeypatch, argv, terms, tables):
+        # the sweep builds the tables of ranks 0..6 once each, one stratum
+        # term per Coxeter cell plus those of the closed strata
+        calls = {"stratum_term": 0, "coxeter_cohomology": 0}
+        for name in calls:
+            original = getattr(dl, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(dl, name, counted)
+        status, _, _ = run(capsys, "verify", *argv)
+        assert status == 0
+        assert calls["coxeter_cohomology"] == tables
+        if terms is not None:
+            assert calls["stratum_term"] == terms
+
 
 class TestMutationDetection:
     def test_pieri_fault_flips_verify(self, capsys, monkeypatch):
@@ -487,7 +509,7 @@ class TestCoxeterTableGuard:
 
         def drop_one(theta, theta_prime, a):
             term = original(theta, theta_prime, a)
-            return term.difference(hc.RepMultiset([next(iter(term.counts))]))
+            return hc.RepMultiset(dict(list(term.counts.items())[1:]))
 
         monkeypatch.setattr(dl, "_stratum_term_explicit", drop_one)
 
@@ -689,10 +711,10 @@ class TestLibraryFailures:
 
     @pytest.mark.parametrize("exc", [KeyError, ZeroDivisionError])
     def test_failure_inside_verify_is_internal(self, capsys, monkeypatch, exc):
-        def failing(k):
+        def failing(ks):
             raise exc("injected")
 
-        monkeypatch.setattr(dl, "coxeter_dimension_checks", failing)
+        monkeypatch.setattr(dl, "coxeter_checks", failing)
         status, out, err = run(capsys, "verify", "--k", "1")
         assert status == 1
         assert out == ""
@@ -730,7 +752,7 @@ class TestCheckEncoding:
 
     def test_failed_verify_sets_document_status(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            dl, "coxeter_dimension_checks", lambda k: [dl.CheckResult("injected", False)]
+            dl, "coxeter_checks", lambda ks: [dl.CheckResult("injected", False)]
         )
         status, out, _ = run(capsys, "verify", "--k", "0", "--format", "json")
         assert status == 1

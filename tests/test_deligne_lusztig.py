@@ -25,8 +25,7 @@ from unicoh.deligne_lusztig import (
     CohomologyTable,
     _stratum_term_explicit,
     _stratum_term_pieri,
-    coxeter_dimension_checks,
-    coxeter_restriction_checks,
+    coxeter_checks,
 )
 from unicoh.unipotent import symbol, to_symbol
 
@@ -120,12 +119,16 @@ class TestCoxeterEigendim:
             assert coxeter_eigenspace_dim(k, a) == degree_u(coxeter_hook(k, a))
 
     def test_checks_helper(self):
-        assert all(c.passed for k in range(7) for c in coxeter_dimension_checks(k))
+        assert all(c.passed for c in coxeter_checks(range(7)))
 
-    def test_negative_rank_has_no_checks_to_pass(self):
-        # an empty check list would pass
+    # an empty check list would pass
+    def test_negative_rank_raises(self):
         with pytest.raises(ValueError, match="k must be nonnegative"):
-            coxeter_dimension_checks(-1)
+            coxeter_checks(range(-1, 0))
+
+    def test_empty_range_raises(self):
+        with pytest.raises(ValueError, match="nonempty range"):
+            coxeter_checks(range(0))
 
 
 class TestStratumTerm:
@@ -167,24 +170,6 @@ class TestStratumTerm:
                     for label in stratum_term(theta, theta_prime, a):
                         assert label.rank == 2 * theta + 1
                         assert label.t == (1 if a % 2 == 0 else 2)
-
-
-class TestChainDifferences:
-    """`difference` skips the constructor's checks; on the chain terms it
-    cancels, its results must equal what the checked constructor builds."""
-
-    @pytest.mark.parametrize("theta", range(9))
-    def test_matches_the_checked_constructor(self, theta):
-        for a in range(2 * theta + 1):
-            chain = dl._eigen_chain(theta, a)
-            for left, right in [pair for x, y in zip(chain, chain[1:]) for pair in ((x, y), (y, x))]:
-                diff = left.difference(right)
-                expected = RepMultiset(
-                    {label: max(m - right.multiplicity(label), 0) for label, m in left.counts.items()}
-                )
-                assert diff == expected and diff.counts == expected.counts
-                assert all(type(m) is int and m > 0 for m in diff.counts.values())
-                assert diff.is_subset(left)
 
 
 class TestEOStratum:
@@ -583,9 +568,26 @@ class TestVerifyStratum:
 class TestRestrictionIdentity:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_holds_with_tate_twist(self, k):
-        checks = coxeter_restriction_checks(k)
+        checks = [c for c in coxeter_checks(range(k, k + 1)) if c.name.startswith("coxeter-restriction ")]
         assert checks, "no checks generated"
         assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
+
+
+class TestCoxeterChecks:
+    """The sweep form hands each table down as the next rank's lower table;
+    the one-rank form builds its lower table itself.  Both must give the
+    same checks, so a lower table that is never updated, or a first one
+    off by a rank, shows as a failed or a different check."""
+
+    @pytest.mark.parametrize("top", range(9))
+    def test_sweep_equals_one_rank_at_a_time(self, top):
+        sweep = coxeter_checks(range(top + 1))
+        assert sweep == [c for k in range(top + 1) for c in coxeter_checks(range(k, k + 1))]
+        assert all(c.passed for c in sweep), [c.line() for c in sweep if not c.passed]
+
+    def test_steps_other_than_one_raise(self):
+        with pytest.raises(ValueError, match="consecutive ranks"):
+            coxeter_checks(range(0, 4, 2))
 
 
 TABLES = {"engine": stratum_cohomology, "closed": closed_stratum_cohomology}

@@ -404,41 +404,11 @@ class TestRepMultiset:
             with pytest.raises(TypeError, match=re.escape(f"holds symbol labels, not {bad!r}")):
                 RepMultiset(kind({self.A: 1, bad: 2}))
 
-    def test_difference_is_a_checked_multiset(self):
-        left = RepMultiset({self.A: 3, self.B: 1})
-        diff = left.difference(RepMultiset({self.A: 1, self.B: 4}))
-        assert diff.counts == {self.A: 2}
-        assert diff == RepMultiset({self.A: 2})
-        assert left.difference(RepMultiset()) == left
-        assert left.difference(left).counts == {}
-        with pytest.raises(AttributeError, match="immutable"):
-            diff.counts = {}
-
-    def test_difference_clips_multiplicities_above_one(self):
-        # the clipped difference is Counter subtraction, on multisets whose
-        # multiplicities go up to 3 on both sides
-        labels = [self.A, self.B, symbol(1, (1,), (1,)), symbol(1, (), (2,))]
-        multisets = [
-            RepMultiset(dict(zip(labels, mults))) for mults in product(range(4), repeat=len(labels))
-        ][::7]
-        for left in multisets:
-            for right in multisets:
-                expected = Counter(left.counts) - Counter(right.counts)
-                assert left.difference(right).counts == dict(expected)
-        assert any(max(left.counts.values(), default=0) > 1 for left in multisets)
-
     def test_union_difference_intersection(self):
-        a, b = symbol(1, (2,), ()), symbol(1, (1, 1), ())
-        left = RepMultiset([a, b])
+        b = symbol(1, (1, 1), ())
         right = RepMultiset([b])
-        assert left.difference(right) == RepMultiset([a])
         assert right.union(right).multiplicity(b) == 2
         assert not right.union(right).is_multiplicity_free()
-
-    def test_subset(self):
-        a, b = symbol(1, (2,), ()), symbol(1, (1, 1), ())
-        assert RepMultiset([a]).is_subset(RepMultiset([a, b]))
-        assert not RepMultiset([a, a]).is_subset(RepMultiset([a, b]))
 
     def test_to_json_shape(self):
         a, b = symbol(1, (2,), ()), symbol(1, (1, 1), ())
