@@ -4,13 +4,19 @@ Character values are computed by one recursion, the type-B variant of the
 Murnaghan-Nakayama rule (strip removal with alternating signs), one class
 column at a time: `typeb_column(klass)` holds the value of every label of
 W_a at klass and is built by one strip-removal step from the column of the
-class with its last cycle removed.  `chi_typeb` reads its value from that
-column, and the W_a character table reads each class's whole column once,
-so its values do not pass through `chi_typeb`.  A symmetric-group value is
-the type-B value at (lam, empty), (nu, empty); the S_n table reads them one
-`chi_sym` value at a time.  `signed_class_sizes` counts the classes of the
-type-B group by brute force over signed permutations, an independent oracle
-for small rank.
+class with its last cycle removed.  A column lists its values in
+`labels_typeb` order, one block per alpha with beta running over the
+partitions of a - |alpha|, so a strip taken from alpha moves a whole block
+and a strip taken from beta moves a position inside one.  Those moves depend
+only on the rank and the length of the removed cycle, so `_block_moves(a, x)`
+reads the strips once for every class that shares them, and a column is
+summed by integer indexing into the previous one.  `chi_typeb` reads its
+value from that column, and the W_a character table reads each class's whole
+column once, so its values do not pass through `chi_typeb`.  A
+symmetric-group value is the type-B value at (lam, empty), (nu, empty); the
+S_n table reads them one `chi_sym` value at a time.  `signed_class_sizes`
+counts the classes of the type-B group by brute force over signed
+permutations, an independent oracle for small rank.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import itertools
 from collections import Counter
 from functools import cache, reduce
 from math import factorial
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -63,14 +70,17 @@ def chi_typeb(label: Bipartition, klass: Bipartition) -> int:
 @cache
 def typeb_column(klass: Bipartition) -> Mapping[Bipartition, int]:
     """Every character value of W_a at one class: {label: value} over all
-    labels of size a.
+    labels of size a, in `labels_typeb` order.
 
     One Murnaghan-Nakayama step from the column of the class with its last
     cycle x removed: the last part of gamma with epsilon = 1, or of theta
     with epsilon = -1 once gamma is exhausted.  A label's value sums, over
     the strips of size x taken from alpha or from beta, the value of what is
     left, with sign (-1)**height and an extra factor epsilon for a strip
-    taken from beta.
+    taken from beta.  The strips come from `_block_moves(a, x)`, shared by
+    every class of rank a whose last cycle has length x, as positions in the
+    previous column: a value is read by integer indexing, with no strip
+    lookup and no label key.
     """
     gamma, theta = klass
     if not gamma and not theta:
@@ -81,19 +91,72 @@ def typeb_column(klass: Bipartition) -> Mapping[Bipartition, int]:
     else:
         eps, x = -1, theta[-1]
         rest = Bipartition(gamma, Partition(theta[:-1]))
-    previous = typeb_column(rest)
-    column = {}
-    for label in labels_typeb(sum(gamma) + sum(theta)):
-        alpha, beta = label
-        total = 0
-        for strip in border_strips(alpha, x):
-            value = previous[strip.result, beta]
-            total += -value if strip.height % 2 else value
-        for strip in border_strips(beta, x):
-            value = eps * previous[alpha, strip.result]
-            total += -value if strip.height % 2 else value
-        column[label] = total
-    return MappingProxyType(column)
+    previous = tuple(typeb_column(rest).values())
+    values = []
+    for start, beta_moves, alpha_even, alpha_odd in _block_moves(klass.size, x):
+        for j, (even, odd) in enumerate(beta_moves):
+            total = 0
+            for position in even:
+                total += previous[start + position]
+            for position in odd:
+                total -= previous[start + position]
+            total *= eps
+            for first in alpha_even:
+                total += previous[first + j]
+            for first in alpha_odd:
+                total -= previous[first + j]
+            values.append(total)
+    return MappingProxyType(dict(zip(labels_typeb(klass.size), values)))
+
+
+def _blocks(a: int) -> Iterator[tuple[Partition, int, tuple[Partition, ...]]]:
+    """(alpha, offset, betas) for each block of `labels_typeb(a)`, in order:
+    the labels (alpha, beta), beta running over `partitions_of(a - |alpha|)`,
+    start at that offset."""
+    offset = 0
+    for alpha, labels in itertools.groupby(labels_typeb(a), itemgetter(0)):
+        betas = tuple(map(itemgetter(1), labels))
+        yield alpha, offset, betas
+        offset += len(betas)
+
+
+@cache
+def _block_moves(a: int, x: int) -> tuple[tuple, ...]:
+    """The strips of size x of the labels of W_a, one entry per block of
+    `labels_typeb(a)`: the offset of alpha's own block in the W_(a-x) column
+    (None if |alpha| > a - x, when no beta has a strip); the strips of each
+    beta, as positions in that block (`_strip_moves`); and the strips of
+    alpha, as the offsets there of the blocks of what they leave, those of
+    even height and those of odd height."""
+    offsets, lower_betas = {}, {}
+    for alpha, offset, betas in _blocks(a - x):
+        offsets[alpha], lower_betas[alpha] = offset, betas
+    beta_moves = {}
+    moves = []
+    for alpha, _, betas in _blocks(a):
+        k = a - alpha.size
+        if k not in beta_moves:
+            beta_moves[k] = _strip_moves(betas, lower_betas.get(alpha, ()), x)
+        even, odd = _by_parity(border_strips(alpha, x), offsets.__getitem__)
+        moves.append((offsets.get(alpha), beta_moves[k], even, odd))
+    return tuple(moves)
+
+
+@cache
+def _strip_moves(betas: tuple[Partition, ...], rest: tuple[Partition, ...], x: int) -> tuple:
+    """The strips of size x of each of betas, as the positions in rest of
+    what they leave, split by `_by_parity`.  Called with the partitions of k
+    and of k - x, so it is memoised per (k, x) and shared by every rank."""
+    position = {nu: i for i, nu in enumerate(rest)}.__getitem__
+    return tuple(_by_parity(border_strips(beta, x), position) for beta in betas)
+
+
+def _by_parity(strips, place) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(place of what each strip of even height leaves, same for odd height)."""
+    even, odd = [], []
+    for height, result in strips:
+        (odd if height % 2 else even).append(place(result))
+    return tuple(even), tuple(odd)
 
 
 @cache

@@ -1,4 +1,5 @@
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -231,18 +232,24 @@ class TestCharacterTables:
                 )
                 assert inner == (order if i == j else 0)
 
-    @pytest.mark.parametrize("a", range(1, 6))
+    @pytest.mark.parametrize("a", range(1, 9))
     def test_typeb_orthogonality(self, a):
+        # row relation: sum over classes of |C| chi(C) psi(C) = |W_a| [chi = psi];
+        # column relation: sum over labels of chi(g) chi(h) = |C(g)| [g = h].
+        # Neither relation reads a strip or the block layout of a column.
         table = character_table_typeb(a)
         order = table.group_order
         assert order == 2**a * factorial(a)
-        for i in range(len(table.labels)):
-            for j in range(i, len(table.labels)):
-                inner = sum(
-                    size * table.values[i][k] * table.values[j][k]
-                    for k, size in enumerate(table.class_sizes)
-                )
-                assert inner == (order if i == j else 0)
+        rows = table.values
+        for i, row in enumerate(rows):
+            weighted = tuple(map(mul, table.class_sizes, row))
+            for j in range(i, len(rows)):
+                assert sum(map(mul, weighted, rows[j])) == (order if i == j else 0)
+        columns = tuple(zip(*rows))
+        for g, column in enumerate(columns):
+            for h in range(g, len(columns)):
+                centralizer = order // table.class_sizes[g] if g == h else 0
+                assert sum(map(mul, column, columns[h])) == centralizer
 
     def test_is_orthogonal_method(self):
         # the method behind the verify sweep's orthogonality checks accepts
