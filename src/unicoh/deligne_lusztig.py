@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, partial
-from itertools import product, starmap
+from itertools import starmap
 from typing import NamedTuple
 
 from .errors import VerificationError
@@ -153,63 +153,64 @@ def _check_stratum_args(theta: int, theta_prime: int) -> None:
         raise ValueError(f"theta_prime {theta_prime} out of range 0..{theta}")
 
 
-def _stratum_term_pieri(theta: int, theta_prime: int, a: int) -> RepMultiset:
+def _stratum_term_pieri(theta: int, theta_prime: int, a: int) -> tuple[int, tuple]:
     """Induce the exponent-a Coxeter label of U_{2theta_prime+1} tensored with the
-    trivial GL_{theta-theta_prime}(q^2) label up to U_{2theta+1}(q)."""
-    return hc.hc_induce(to_symbol(coxeter_hook(theta_prime, a)), (theta - theta_prime,))
+    trivial GL_{theta-theta_prime}(q^2) label up to U_{2theta+1}(q), as its t
+    and the `pieri_induce` output."""
+    start = to_symbol(coxeter_hook(theta_prime, a))
+    return start.t, hc.pieri_induce(start.bipartition, theta - theta_prime)
 
 
-def _stratum_term_explicit(theta: int, theta_prime: int, a: int) -> RepMultiset:
-    """Direct enumeration of the same constituents, independent of the Pieri code.
+def _stratum_term_explicit(theta: int, theta_prime: int, a: int) -> tuple[int, tuple]:
+    """Direct enumeration of the same (t, pairs), independent of the Pieri code.
 
     For exponent a = 2i (+1), the start label is a one-row alpha (i) and a
     one-column beta; splitting the added boxes as d to the alpha side gives
     alpha = (i + d - s, s) with 0 <= s <= min(d, i), and the column side
-    either keeps its length (bottom box added) or loses one row.  Parts go
-    to the `symbol` memo as canonical plain tuples, with no trailing zero
-    ((i + d - s, s) for s >= 1, else (i + d,), or () when i + d = 0), so
-    each finds the entry of the equal Partition from the Pieri path; the
-    constructor counts the labels with one hash each.
+    either keeps its length (bottom box added) or loses one row.  Parts are
+    plain tuples without trailing zeros; the alphas are distinct, so one
+    sort of the (alpha, betas) rows gives descending tuple order.
     """
     i, odd = divmod(a, 2)
-    label_of = partial(symbol, 2 if odd else 1)
     column = theta_prime - i - odd
-    labels: list[SymbolLabel] = []
+    rows = []
     for d in range(theta - theta_prime + 1):
         e = theta - theta_prime - d
-        alphas = [(i + d,) if i + d else ()]
-        alphas += [(i + d - s, s) for s in range(1, min(d, i) + 1)]
-        if column == 0:
-            betas = [(e,) if e else ()]
-        else:
-            betas = [(e + 1,) + (1,) * (column - 1)]
-            if e >= 1:
-                betas.append((e,) + (1,) * column)
-        labels.extend(starmap(label_of, product(alphas, betas)))
-    return RepMultiset(labels)
+        betas = [(e + 1,) + (1,) * (column - 1)] if column else [(e,) if e else ()]
+        if column and e:
+            betas.append((e,) + (1,) * column)
+        rows.append(((i + d,) if i + d else (), betas))
+        rows += [((i + d - s, s), betas) for s in range(1, min(d, i) + 1)]
+    rows.sort(reverse=True)
+    return 2 if odd else 1, tuple([(alpha, beta) for alpha, betas in rows for beta in betas])
 
 
 def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:
     """Eigenvalue-exponent-a summand contributed by the Ekedahl-Oort stratum
     of type 2*theta_prime + 1 inside the closed stratum of type 2*theta + 1.
 
-    Computed twice (Pieri induction and direct enumeration); a mismatch, or
-    a repeated constituent, raises VerificationError.
+    Computed twice as (t, pairs), by Pieri induction and direct enumeration,
+    compared as tuples (hashing nothing, and checking the order of
+    `pieri_induce`), then labelled once.  A mismatch, or a repeated
+    constituent, raises VerificationError.
     """
     _check_stratum_args(theta, theta_prime)
     _check_exponent(theta_prime, a)
     via_pieri = _stratum_term_pieri(theta, theta_prime, a)
     explicit = _stratum_term_explicit(theta, theta_prime, a)
-    if via_pieri.counts != explicit.counts:
+    if via_pieri != explicit:
+        pieri, enum = [{(t, tuple(x), tuple(y)) for x, y in pairs} for t, pairs in (via_pieri, explicit)]
         raise VerificationError(
             f"stratum term mismatch at (theta={theta}, theta'={theta_prime}, a={a}): "
-            f"pieri={via_pieri!r}, explicit={explicit!r}"
+            f"pieri only {sorted(pieri - enum)}, explicit only {sorted(enum - pieri)}"
         )
-    if not via_pieri.is_multiplicity_free():
+    t, pairs = via_pieri
+    term = RepMultiset(list(starmap(partial(symbol, t), pairs)))
+    if not term.is_multiplicity_free():
         raise VerificationError(
             f"stratum term not multiplicity-free at (theta={theta}, theta'={theta_prime}, a={a})"
         )
-    return via_pieri
+    return term
 
 
 @cache
@@ -296,10 +297,9 @@ def _chain_head(theta: int, a: int, chain: list[RepMultiset]) -> RepMultiset:
     remain at the end, otherwise the bookkeeping is inconsistent.
 
     Every term must be multiplicity-free, as `stratum_term` guarantees, so
-    the chain is held as sets of labels: each step is a C-level set
-    difference or subset test that reuses the hashes stored in the sets and
-    runs no `SymbolLabel.__hash__`.  A one-term chain returns its term; a
-    longer one builds its head as one RepMultiset at the end.
+    the chain is held as sets of labels, whose C-level steps reuse the
+    stored hashes.  A one-term chain returns its term; a longer one builds
+    its head as one RepMultiset at the end.
     """
     for column, term in zip(_chain_strata(theta, a), chain):
         if not term.is_multiplicity_free():
@@ -414,8 +414,7 @@ def verify_stratum(theta: int) -> StratumVerification:
     One dimension pass feeds (4) and (5).  It sums the generic degrees of
     each table entry once, and for each exponent a it takes once the
     alternating sum alt(a) of the cells' Harish-Chandra index forms along
-    the chain (`stratum_term_dimension`, which reads no first-page label;
-    `index_form_row` builds them once per row (theta, theta') per process).
+    the chain (`stratum_term_dimension`, which reads no first-page label).
     (5) compares alt(a) with the (a, a) entry.  (4) compares the entries'
     signed total with the sum of (-1)**a * alt(a), which is the sum over
     cells with sign (-1)**(theta' + a // 2), regrouped.  So neither (3) nor

@@ -119,7 +119,8 @@ def pieri_induce(start: Bipartition, boxes: int) -> tuple[Bipartition, ...]:
 
     Multiplicity-free: split the boxes between the two components in every
     way and add each share as a horizontal strip.  Each component's strips
-    are enumerated once per box count and then paired.
+    are enumerated once per box count and then paired, in descending tuple
+    order (`stratum_term` checks it).
     """
     if boxes < 0:
         raise ValueError("cannot add a negative number of boxes")
@@ -244,8 +245,8 @@ def hc_induce(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> RepMultiset:
     The bipartition side is an iterated Pieri induction, one GL block at a
     time, and each Pieri output becomes its label (from the `symbol` memo)
     as it comes.  Rank-zero GL blocks are the identity and are skipped.
-    Multiplicities add up in a plain dict: the first label of a block fills
-    it with `dict.fromkeys`, and later labels merge one output at a time.
+    Multiplicities add up in a plain dict.  `unicoh induce` calls it, and
+    the tests use it as the oracle of `deligne_lusztig.stratum_term`.
     """
     if min(gl_ranks, default=0) < 0:
         raise ValueError("ranks must be nonnegative")

@@ -131,9 +131,8 @@ class SymbolLabel:
 def symbol(t: int, alpha: Partition, beta: Partition) -> SymbolLabel:
     """The label (t, alpha, beta), built once per process.
 
-    Both induction paths of a stratum term build the same few labels tens of
-    thousands of times; through this memo they share one object per label,
-    so comparing their multisets mostly succeeds on identity.  Keyed on all
+    Stratum terms ask for the same few labels tens of thousands of times,
+    once their two paths agree on bipartitions.  Keyed on all
     three arguments: alpha and beta must be hashable, and a plain tuple of
     parts finds the entry of the equal Partition only without trailing
     zeros.  On a miss SymbolLabel makes them Partitions.  The only memo

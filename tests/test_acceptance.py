@@ -7,6 +7,7 @@ coefficients), and the stated runtime budgets are asserted.
 
 import time
 from math import factorial
+from operator import gt
 
 from unicoh import (
     Bipartition,
@@ -164,9 +165,10 @@ def test_criterion_08_dual_path_stratum_terms():
     for theta in range(0, 7):
         for theta_prime in range(theta + 1):
             for a in range(2 * theta_prime + 1):
-                via_pieri = _stratum_term_pieri(theta, theta_prime, a)
-                explicit = _stratum_term_explicit(theta, theta_prime, a)
-                assert via_pieri == explicit, (theta, theta_prime, a)
+                t, induced = _stratum_term_pieri(theta, theta_prime, a)
+                assert (t, induced) == _stratum_term_explicit(theta, theta_prime, a), (theta, theta_prime, a)
+                # descending with no repeat, the order stratum_term compares in
+                assert all(map(gt, induced, induced[1:])), (theta, theta_prime, a)
                 pairs += 1
     report(8, f"Pieri path = explicit enumeration on {pairs} stratum terms (theta<=6)", budget.check())
 

@@ -463,7 +463,7 @@ class TestLabelMemoFault:
         all_memos()
         dl.stratum_cohomology(6)
         labels = unipotent.symbol.cache_info()
-        dl._stratum_term_explicit(*self.CELL)
+        dl.stratum_term(*self.CELL)
         # rebuilding the cell finds every label in the memo
         assert unipotent.symbol.cache_info().misses == labels.misses
 
@@ -471,17 +471,17 @@ class TestLabelMemoFault:
         original = dl._stratum_term_explicit
 
         def extra(theta, theta_prime, a):
-            term = original(theta, theta_prime, a)
+            t, pairs = original(theta, theta_prime, a)
             if (theta, theta_prime, a) != self.CELL:
-                return term
-            first = next(iter(term.counts))
-            size = first.alpha.size + first.beta.size
+                return t, pairs
+            alpha, beta = pairs[0]
             outsider = next(
-                label
-                for label in (unipotent.symbol(first.t, *bip) for bip in partitions.bipartitions_of(size))
-                if label not in term
+                (tuple(first), tuple(second))
+                for first, second in partitions.bipartitions_of(sum(alpha) + sum(beta))
+                if (first, second) not in pairs
             )
-            return term.union(hc.RepMultiset([outsider]))
+            # kept in descending order, so only the extra pair differs
+            return t, tuple(sorted(pairs + (outsider,), reverse=True))
 
         monkeypatch.setattr(dl, "_stratum_term_explicit", extra)
         with pytest.raises(VerificationError, match="stratum term mismatch"):
@@ -510,8 +510,8 @@ class TestCoxeterTableGuard:
         original = dl._stratum_term_explicit
 
         def drop_one(theta, theta_prime, a):
-            term = original(theta, theta_prime, a)
-            return hc.RepMultiset(dict(list(term.counts.items())[1:]))
+            t, pairs = original(theta, theta_prime, a)
+            return t, pairs[1:]
 
         monkeypatch.setattr(dl, "_stratum_term_explicit", drop_one)
 

@@ -1,4 +1,5 @@
 import json
+from operator import gt
 
 import pytest
 
@@ -20,6 +21,7 @@ from unicoh import (
     verify_stratum,
 )
 from unicoh import deligne_lusztig as dl
+from unicoh import harish_chandra as hc
 from unicoh import unipotent
 from unicoh.deligne_lusztig import (
     CohomologyTable,
@@ -159,9 +161,10 @@ class TestStratumTerm:
         for theta_prime in range(theta + 1):
             for a in range(2 * theta_prime + 1):
                 via_pieri = _stratum_term_pieri(theta, theta_prime, a)
-                explicit = _stratum_term_explicit(theta, theta_prime, a)
-                assert via_pieri == explicit
-                assert via_pieri.is_multiplicity_free()
+                t, pairs = _stratum_term_explicit(theta, theta_prime, a)
+                assert via_pieri == (t, pairs)
+                # strictly descending, so no pair repeats
+                assert all(map(gt, pairs, pairs[1:]))
 
     def test_rank_bookkeeping(self):
         for theta in range(4):
@@ -760,7 +763,8 @@ class TestMultiplicityFreeGuard:
         # the multiplicity-free guard stands between the fault and the page
         def doubled(path):
             def term(theta, theta_prime, a):
-                return RepMultiset({label: 2 for label in path(theta, theta_prime, a).counts})
+                t, pairs = path(theta, theta_prime, a)
+                return t, tuple(pair for pair in pairs for _ in range(2))
 
             return term
 
@@ -768,6 +772,71 @@ class TestMultiplicityFreeGuard:
         monkeypatch.setattr(dl, "_stratum_term_explicit", doubled(dl._stratum_term_explicit))
         with pytest.raises(VerificationError, match="not multiplicity-free"):
             stratum_term(2, 1, 1)
+
+
+class TestDualPathGuard:
+    """`stratum_term` compares the two paths' (t, pairs) as tuples, so the
+    support, the set and the order of the pairs must all agree."""
+
+    def test_other_t_is_a_mismatch(self, monkeypatch):
+        original = dl._stratum_term_explicit
+
+        def other_t(theta, theta_prime, a):
+            t, pairs = original(theta, theta_prime, a)
+            return 3 - t, pairs
+
+        monkeypatch.setattr(dl, "_stratum_term_explicit", other_t)
+        with pytest.raises(VerificationError, match="stratum term mismatch"):
+            stratum_term(3, 1, 1)
+
+    def test_reversed_pieri_order_is_a_mismatch(self, monkeypatch):
+        # the same set of pairs in ascending order: only the order differs
+        t, pairs = _stratum_term_pieri(3, 1, 2)
+        assert len(pairs) > 1
+        original = hc.pieri_induce
+        monkeypatch.setattr(hc, "pieri_induce", lambda start, boxes: original(start, boxes)[::-1])
+        assert _stratum_term_pieri(3, 1, 2) == (t, pairs[::-1])
+        with pytest.raises(VerificationError, match=r"stratum term mismatch .*: pieri only \[\], explicit only \[\]$"):
+            stratum_term(3, 1, 2)
+        # a cell with one pair reads the same either way
+        assert stratum_term(2, 2, 4) == RepMultiset([to_symbol(Partition((5,)))])
+
+    def test_message_names_the_missing_pair(self, monkeypatch):
+        original = dl._stratum_term_explicit
+        t, pairs = original(3, 1, 0)
+        missing = (t,) + pairs[-1]
+
+        def drop_last(theta, theta_prime, a):
+            t, pairs = original(theta, theta_prime, a)
+            return t, pairs[:-1]
+
+        monkeypatch.setattr(dl, "_stratum_term_explicit", drop_last)
+        with pytest.raises(VerificationError) as raised:
+            stratum_term(3, 1, 0)
+        assert str(raised.value).endswith(f"pieri only [{missing!r}], explicit only []")
+
+    def test_one_label_replaced_after_the_guard_fails_verify(self, monkeypatch):
+        # the only labelling step sits after the comparison, so a fault there
+        # reaches both paths' labels alike: (5, 2) becomes (4, 2, 1), same t
+        # and rank, another generic degree, and absent from the theta = 3 page
+        survivor, stranger = to_symbol(Partition((5, 2))), to_symbol(Partition((4, 2, 1)))
+        assert survivor.support == stranger.support
+        assert degree_u(Partition((5, 2))) != degree_u(Partition((4, 2, 1)))
+        original = dl.symbol
+
+        def swapped(t, alpha, beta):
+            label = original(t, alpha, beta)
+            return stranger if label == survivor else label
+
+        monkeypatch.setattr(dl, "symbol", swapped)
+        report = verify_stratum(3)
+        # the chain still cancels, so duality and the exponents pass; the
+        # closed formula and the label-free index forms catch it
+        assert {c.name for c in report.checks if not c.passed} == {
+            "stratum-equals-closed-formula (theta=3)",
+            "euler-characteristic-additivity (theta=3)",
+            "eigenvalue-alternating-sums (theta=3)",
+        }
 
 
 class TestBookkeepingGuard:

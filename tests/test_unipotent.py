@@ -26,13 +26,8 @@ from unicoh import (
     two_quotient,
 )
 from unicoh import unipotent
-from unicoh.deligne_lusztig import (
-    _stratum_term_explicit,
-    _stratum_term_pieri,
-    coxeter_hook,
-    stratum_cohomology,
-    verify_stratum,
-)
+from unicoh.deligne_lusztig import coxeter_hook, stratum_cohomology, stratum_term, verify_stratum
+from unicoh.harish_chandra import hc_induce
 from unicoh.unipotent import SymbolLabel, a_exponent, symbol
 
 from oracles import diagram_hooks, hook_formula_degree, syt_count, two_quotient_by_parity_split
@@ -364,9 +359,15 @@ class TestSymbolMemo:
     )
 
     @pytest.mark.parametrize("cell", CELLS)
-    def test_both_paths_share_label_objects(self, cell):
-        pieri, explicit = _stratum_term_pieri(*cell), _stratum_term_explicit(*cell)
-        assert {id(label) for label in pieri.counts} == {id(label) for label in explicit.counts}
+    def test_each_label_is_looked_up_once(self, cell):
+        # the two paths compare bipartitions, so the memo sees the start label
+        # once and each pair of the term once, after the comparison
+        theta, theta_prime, a = cell
+        before = symbol.cache_info()
+        term = stratum_term(*cell)
+        after = symbol.cache_info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) == len(term) + 1
+        assert term == hc_induce(to_symbol(coxeter_hook(theta_prime, a)), (theta - theta_prime,))
 
 
 class TestToSymbolMemo:
