@@ -97,6 +97,8 @@ class CohomologyTable(NamedTuple):
 
 
 def _check_exponent(k: int, a: int) -> None:
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if not 0 <= a <= 2 * k:
         raise ValueError(f"exponent {a} out of range 0..{2 * k}")
 
@@ -164,25 +166,23 @@ def _stratum_term_pieri(theta: int, theta_prime: int, a: int) -> tuple[int, tupl
 def _stratum_term_explicit(theta: int, theta_prime: int, a: int) -> tuple[int, tuple]:
     """Direct enumeration of the same (t, pairs), independent of the Pieri code.
 
-    For exponent a = 2i (+1), the start label is a one-row alpha (i) and a
-    one-column beta; splitting the added boxes as d to the alpha side gives
-    alpha = (i + d - s, s) with 0 <= s <= min(d, i), and the column side
-    either keeps its length (bottom box added) or loses one row.  Parts are
-    plain tuples without trailing zeros; the alphas are distinct, so one
-    sort of the (alpha, betas) rows gives descending tuple order.
-    """
+    For a = 2i (+1) the start label is alpha = (i), beta = (1**c).  Of the n added
+    boxes, alpha = (f, s) with i <= f, s <= min(i, f, n + i - f) takes f + s - i and
+    beta the other e: (e + 1, 1**(c - 1)), then (e, 1**c) if e > 0; (e) if c = 0.
+    As f and s descend, the pairs come in descending tuple order with no sort."""
     i, odd = divmod(a, 2)
-    column = theta_prime - i - odd
-    rows = []
-    for d in range(theta - theta_prime + 1):
-        e = theta - theta_prime - d
-        betas = [(e + 1,) + (1,) * (column - 1)] if column else [(e,) if e else ()]
-        if column and e:
-            betas.append((e,) + (1,) * column)
-        rows.append(((i + d,) if i + d else (), betas))
-        rows += [((i + d - s, s), betas) for s in range(1, min(d, i) + 1)]
-    rows.sort(reverse=True)
-    return 2 if odd else 1, tuple([(alpha, beta) for alpha, betas in rows for beta in betas])
+    n, column = theta - theta_prime, theta_prime - i - odd
+    tail, ones = (1,) * (column - 1), (1,) * column
+    pairs = []
+    for f in range(i + n, i - 1, -1):
+        for s in range(min(i, f, n + i - f), -1, -1):
+            e = n + i - f - s
+            alpha = (f, s) if s else (f,) if f else ()
+            if column:
+                pairs.append((alpha, (e + 1,) + tail))
+            if e or not column:
+                pairs.append((alpha, (e,) + ones if e else ()))
+    return 2 if odd else 1, tuple(pairs)
 
 
 def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cache, partial
-from itertools import chain, repeat, starmap
+from itertools import accumulate, chain, repeat, starmap
 from math import factorial
 from operator import attrgetter, index, is_not
 
@@ -41,16 +41,18 @@ def _interlacing(lo: tuple[int, ...], hi: tuple[int, ...], total: int) -> tuple[
     """
     rows = [i for i in range(len(lo)) if hi[i] > lo[i]]
     spans = [hi[i] - lo[i] for i in rows]
-    cap = [0] * (len(rows) + 1)
-    for j in range(len(rows) - 1, -1, -1):
-        cap[j] = cap[j + 1] + spans[j]
+    cap = list(accumulate(reversed(spans), initial=0))[::-1]
     if not 0 <= total <= cap[0]:
         return ()
+    if not rows:
+        return (Partition(lo),)
     out: list[Partition] = []
     parts = list(lo)
+    last = len(rows) - 1
 
     def build(j: int, remaining: int) -> None:
-        if j == len(rows):
+        if j == last:  # the last movable row takes what is left
+            parts[rows[j]] = lo[rows[j]] + remaining
             out.append(Partition(parts))
             return
         # every leaf sets each movable row on its way down, so no reset is needed

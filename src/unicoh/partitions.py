@@ -22,19 +22,21 @@ class Partition(tuple):
     Parts must be integers (`operator.index`): a float or a string raises
     TypeError rather than being truncated or parsed.  A Partition passed in
     is returned as it is, since it was checked when it was built and cannot
-    change.
+    change.  Trailing zeros go in one backward scan and one slice.
     """
 
     def __new__(cls, parts: Iterable[int] = ()):
         if type(parts) is cls:
             return parts
         parts = tuple(map(index, parts))
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
+        end = len(parts)
+        while end and parts[end - 1] == 0:
+            end -= 1
+        parts = parts[:end]  # the tuple itself when nothing is trimmed
         # weakly decreasing with a positive last part means every part is positive
         if parts and (parts[-1] < 0 or not all(map(ge, parts, parts[1:]))):
             _reject(parts)
-        return super().__new__(cls, parts)
+        return tuple.__new__(cls, parts)
 
     @property
     def size(self) -> int:
@@ -162,8 +164,8 @@ def border_strips(lam: Partition, size: int) -> tuple[BorderStrip, ...]:
 
 
 def core_quotient(lam: Partition, rows: Optional[int] = None) -> CoreQuotient:
-    """2-core index and 2-quotient of lam, read off the 2-abacus of one beta
-    set (at `rows` rows, default the number of nonzero parts).
+    """2-core index and 2-quotient of lam, read off the 2-abacus of its beta
+    set (at `rows` rows, default the number of nonzero parts) run by run.
 
     Removing a domino moves one beta value b to a free b - 2: one bead down
     its runner (even or odd values), so the bead count of each runner never
@@ -175,14 +177,35 @@ def core_quotient(lam: Partition, rows: Optional[int] = None) -> CoreQuotient:
     2e + 1, ..., 2o - 1.  So t = max(e - o - 1, o - e), with no domino
     removed one by one.  The halved values on each runner are the beta sets
     of the quotient components, ordered by the parity of the row count.
+    A run of m equal parts p above `below` rows is the m values from p + below
+    up: consecutive beads on each runner, so one run of equal parts of each
+    component.  The runs are read from the bottom, the zero rows first.
     Neither t nor the quotient depends on padding lam with zero rows.
     """
-    values = beta_set(lam, rows)
-    evens = [b // 2 for b in values if b % 2 == 0]
-    odds = [b // 2 for b in values if b % 2]
-    mu0, mu1 = from_beta_set(evens), from_beta_set(odds)
-    quotient = Bipartition(mu0, mu1) if len(values) % 2 else Bipartition(mu1, mu0)
-    return CoreQuotient(max(len(evens) - len(odds) - 1, len(odds) - len(evens)), quotient)
+    lam = Partition(lam)
+    j = len(lam)
+    if rows is None:
+        rows = j
+    if rows < j:
+        raise ValueError(f"row count {rows} below number of parts {j}")
+    even_parts, odd_parts = [], []  # each runner's component, bottom up
+    part = below = even_below = 0  # even_below: the beads below on the even runner
+    m = rows - j
+    while True:
+        low = part + below
+        n_even = (m + 1 - low % 2) // 2
+        even_parts += [(low + 1) // 2 - even_below] * n_even
+        odd_parts += [low // 2 - below + even_below] * (m - n_even)
+        even_below += n_even
+        below += m
+        if not j:
+            break
+        part = lam[j - 1]
+        start = lam.index(part)  # a run starts at the first part equal to its own
+        m, j = j - start, start
+    mu0, mu1 = Partition(even_parts[::-1]), Partition(odd_parts[::-1])
+    quotient = Bipartition(mu0, mu1) if rows % 2 else Bipartition(mu1, mu0)
+    return CoreQuotient(max(2 * even_below - rows - 1, rows - 2 * even_below), quotient)
 
 
 def two_core(lam: Partition) -> int:

@@ -11,7 +11,9 @@ the scalar type-B Murnaghan-Nakayama recursion (`chi_typeb_by_recursion`)
 that the per-class columns replaced, the per-cell index form
 (`direct_index_form`) that the row steps of `index_form_row` replaced, and
 the Euler sum over the first-page cells (`euler_sum_over_cells`) that
-verify_stratum's sum by exponent replaced.  `hc_index_dimension` is the
+verify_stratum's sum by exponent replaced, and the stratum cell enumeration
+that sorts its rows (`stratum_term_explicit_by_sort`), which the enumeration
+straight in label order replaced.  `hc_index_dimension` is the
 Harish-Chandra index [G:P] of a stratum term's parabolic, from dense
 products.  `hc_induce_by_pieri_counter` repeats Harish-Chandra induction
 as plain iterated Pieri steps counted in a Counter, and
@@ -285,6 +287,29 @@ def pieri_by_nested_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipa
         for second in strips(start.second, boxes - d)
     ]
     return tuple(sorted(results, key=label_sort_key))
+
+
+def stratum_term_explicit_by_sort(theta: int, theta_prime: int, a: int) -> tuple[int, tuple]:
+    """The direct enumeration of a stratum cell as (t, pairs), by rows of
+    (alpha, betas) put in order by one sort.
+
+    For exponent a = 2i (+1), the start label is a one-row alpha (i) and a
+    one-column beta; splitting the added boxes as d to the alpha side gives
+    alpha = (i + d - s, s) with 0 <= s <= min(d, i), and the column side
+    either keeps its length (bottom box added) or loses one row.
+    """
+    i, odd = divmod(a, 2)
+    column = theta_prime - i - odd
+    rows = []
+    for d in range(theta - theta_prime + 1):
+        e = theta - theta_prime - d
+        betas = [(e + 1,) + (1,) * (column - 1)] if column else [(e,) if e else ()]
+        if column and e:
+            betas.append((e,) + (1,) * column)
+        rows.append(((i + d,) if i + d else (), betas))
+        rows += [((i + d - s, s), betas) for s in range(1, min(d, i) + 1)]
+    rows.sort(reverse=True)
+    return 2 if odd else 1, tuple([(alpha, beta) for alpha, betas in rows for beta in betas])
 
 
 def hc_induce_by_pieri_counter(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> Counter:

@@ -37,6 +37,7 @@ from oracles import (
     label_sort_key,
     lefschetz_number,
     stratum_restriction_failures,
+    stratum_term_explicit_by_sort,
 )
 
 
@@ -61,6 +62,12 @@ class TestCoxeterHooks:
                 assert type(hook) is Partition
                 assert hook == Partition((1 + a,) + (1,) * (2 * k - a))
                 assert coxeter_hook(k, a) is hook
+
+    def test_negative_k_is_named(self):
+        # checked before the exponent, whose range 0..2k would read 0..-2
+        for build in (coxeter_hook, coxeter_eigenspace_dim):
+            with pytest.raises(ValueError, match="^k must be nonnegative$"):
+                build(-1, 0)
 
     def test_range_check_with_a_warm_memo(self):
         # the memo stores no exception, so the check runs on every call
@@ -156,13 +163,15 @@ class TestStratumTerm:
         with pytest.raises(ValueError):
             stratum_term(2, 1, 3)
 
-    @pytest.mark.parametrize("theta", range(0, 7))
+    @pytest.mark.parametrize("theta", range(0, 16))
     def test_dual_paths_agree_everywhere(self, theta):
         for theta_prime in range(theta + 1):
             for a in range(2 * theta_prime + 1):
                 via_pieri = _stratum_term_pieri(theta, theta_prime, a)
                 t, pairs = _stratum_term_explicit(theta, theta_prime, a)
                 assert via_pieri == (t, pairs)
+                # the order comes from the enumeration itself, not from a sort
+                assert (t, pairs) == stratum_term_explicit_by_sort(theta, theta_prime, a)
                 # strictly descending, so no pair repeats
                 assert all(map(gt, pairs, pairs[1:]))
 

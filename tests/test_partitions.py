@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +23,19 @@ from unicoh import (
     two_quotient,
 )
 
-from oracles import domino_peeling_core, geometric_border_strips, partition_parts_by_loop
+from oracles import domino_peeling_core, geometric_border_strips, partition_parts_by_loop, two_quotient_by_parity_split
 from strategies import partitions, partitions_up_to
 
 
 class TestPartitionType:
     def test_trims_trailing_zeros(self):
         assert Partition((3, 2, 0, 0)) == (3, 2)
+
+    def test_long_run_of_trailing_zeros_in_linear_time(self):
+        # one slice per zero is quadratic in the run of zeros; one backward scan is linear
+        start = time.perf_counter()
+        assert Partition((3, 1) + (0,) * 100_000) == (3, 1)
+        assert time.perf_counter() - start < 2
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
@@ -304,6 +311,32 @@ class TestCoreQuotient:
         monkeypatch.setattr(partitions, "from_beta_set", lambda values: Partition((1,)))
         with pytest.raises(VerificationError):
             from_core_quotient(1, Bipartition.of((2,), ()))
+
+
+class TestCoreQuotientRunByRun:
+    """core_quotient reads the abacus one run of equal parts at a time, the
+    zero rows below `rows` as one more run; the oracles read it bead by bead."""
+
+    CASES = [Partition((1 + a,) + (1,) * (2 * k - a)) for k in range(31) for a in range(2 * k + 1)] + [
+        lam for n in range(13) for lam in partitions_of(n)
+    ]
+
+    def test_matches_the_parity_split_and_domino_peeling(self):
+        for lam in self.CASES:
+            expected_quotient = two_quotient_by_parity_split(lam)
+            expected_core = domino_peeling_core(lam)
+            # both parities of padding, odd and even
+            for extra in (0, 1, 2, 5):
+                cq = core_quotient(lam, len(lam) + extra)
+                assert cq.quotient == expected_quotient, (lam, extra)
+                assert staircase(cq.core_index) == expected_core, (lam, extra)
+                assert type(cq.quotient.first) is type(cq.quotient.second) is Partition
+
+    def test_too_few_rows(self):
+        with pytest.raises(ValueError, match=r"^row count 1 below number of parts 2$"):
+            core_quotient(Partition((2, 1)), 1)
+        with pytest.raises(ValueError, match=r"^row count -1 below number of parts 0$"):
+            core_quotient(Partition(), -1)
 
 
 class TestAbacusCoreMatchesDominoPeeling:
