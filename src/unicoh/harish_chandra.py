@@ -260,13 +260,8 @@ def hc_induce(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> RepMultiset:
         nxt: dict[SymbolLabel, int] = {}
         for label, mult in current.items():
             # pieri_induce is multiplicity-free, so each output adds mult
-            outs = starmap(label_of, pieri_induce(label.bipartition, a))
-            if not nxt:
-                nxt = dict.fromkeys(outs, mult)
-                continue
-            get = nxt.get
-            for out in outs:
-                nxt[out] = get(out, 0) + mult
+            for out in starmap(label_of, pieri_induce(label.bipartition, a)):
+                nxt[out] = nxt.get(out, 0) + mult
         current = nxt
     return RepMultiset(current)
 

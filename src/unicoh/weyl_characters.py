@@ -2,32 +2,32 @@
 
 Character values are computed by one recursion, the type-B variant of the
 Murnaghan-Nakayama rule (strip removal with alternating signs), one class
-column at a time: `typeb_column(klass)` holds the value of every label of
-W_a at klass and is built by one strip-removal step from the column of the
-class with its last cycle removed.  A column lists its values in
+column at a time: `typeb_column(klass)` is the tuple of the values of every
+label of W_a at klass, built by one strip-removal step from the column of
+the class with its last cycle removed.  A column lists its values in
 `labels_typeb` order, one block per alpha with beta running over the
 partitions of a - |alpha|, so a strip taken from alpha moves a whole block
 and a strip taken from beta moves a position inside one.  Those moves depend
 only on the rank and the length of the removed cycle, so `_block_moves(a, x)`
 reads the strips once for every class that shares them, and a column is
 summed by integer indexing into the previous one.  `chi_typeb` reads its
-value from that column, and the W_a character table reads each class's whole
-column once, so its values do not pass through `chi_typeb`.  A
-symmetric-group value is the type-B value at (lam, empty), (nu, empty); the
-S_n table reads them one `chi_sym` value at a time.  `signed_class_sizes`
-counts the classes of the type-B group by brute force over signed
-permutations, an independent oracle for small rank.
+value from that column at its label's position, and the W_a character table
+takes each class's whole column as it is, so its values do not pass through
+`chi_typeb`.  A symmetric-group value is the type-B value at (lam, empty),
+(nu, empty); the S_n table reads them one `chi_sym` value at a time.
+`signed_class_sizes` counts the classes of the type-B group by brute force
+over signed permutations, an independent oracle for small rank.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from functools import cache, reduce
 from math import factorial
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import RankCapError
 from .partitions import (
@@ -58,19 +58,25 @@ def chi_typeb(label: Bipartition, klass: Bipartition) -> int:
     """Character value of the hyperoctahedral group W_a.
 
     label = (alpha, beta) names the irreducible, klass = (gamma, theta)
-    the conjugacy class (positive / negative cycle lengths).  The value is
-    read from the class's column; a label of another size is not in it.
+    the conjugacy class (positive / negative cycle lengths).  Both are made
+    Bipartitions of Partitions first, so a plain tuple reads the same value
+    whatever the memos hold.  The value is read from the class's column at
+    the label's position; a label of another size is not in it.
     """
-    value = typeb_column(klass).get(label)
-    if value is None:
+    label, klass = Bipartition.of(*label), Bipartition.of(*klass)
+    labels = labels_typeb(klass.size)
+    # the labels descend, so label's position is the first one not above it
+    position = bisect_left(labels, True, key=label.__ge__)
+    if labels[position : position + 1] != (label,):
         raise ValueError(f"size mismatch between label {label} and class {klass}")
-    return value
+    return typeb_column(klass)[position]
 
 
 @cache
-def typeb_column(klass: Bipartition) -> Mapping[Bipartition, int]:
-    """Every character value of W_a at one class: {label: value} over all
-    labels of size a, in `labels_typeb` order.
+def typeb_column(klass: Bipartition) -> tuple[int, ...]:
+    """Every character value of W_a at one class: the value of each label of
+    size a, in `labels_typeb` order.  klass is made a Bipartition of
+    Partitions first, as in `chi_typeb`.
 
     One Murnaghan-Nakayama step from the column of the class with its last
     cycle x removed: the last part of gamma with epsilon = 1, or of theta
@@ -82,16 +88,16 @@ def typeb_column(klass: Bipartition) -> Mapping[Bipartition, int]:
     previous column: a value is read by integer indexing, with no strip
     lookup and no label key.
     """
-    gamma, theta = klass
+    gamma, theta = klass = Bipartition.of(*klass)
     if not gamma and not theta:
-        return MappingProxyType({Bipartition(EMPTY, EMPTY): 1})
+        return (1,)
     if gamma:
         eps, x = 1, gamma[-1]
         rest = Bipartition(Partition(gamma[:-1]), theta)
     else:
         eps, x = -1, theta[-1]
         rest = Bipartition(gamma, Partition(theta[:-1]))
-    previous = tuple(typeb_column(rest).values())
+    previous = typeb_column(rest)
     values = []
     for start, beta_moves, alpha_even, alpha_odd in _block_moves(klass.size, x):
         for j, (even, odd) in enumerate(beta_moves):
@@ -106,7 +112,7 @@ def typeb_column(klass: Bipartition) -> Mapping[Bipartition, int]:
             for first in alpha_odd:
                 total -= previous[first + j]
             values.append(total)
-    return MappingProxyType(dict(zip(labels_typeb(klass.size), values)))
+    return tuple(values)
 
 
 def _blocks(a: int) -> Iterator[tuple[Partition, int, tuple[Partition, ...]]]:
@@ -280,22 +286,21 @@ class CharacterTable(NamedTuple):
 
 def _character_table(group: str, labels, class_size, column) -> CharacterTable:
     """Square table: labels and classes are both `labels`, which come in
-    descending tuple order.  `column(klass)` maps every label to its value at
-    klass and is read once per class."""
+    descending tuple order.  `column(klass)` is the tuple of the values of
+    every label at klass, in that order, and is taken once per class as it is."""
     labels = tuple(labels)
-    columns = [tuple(map(column(k).__getitem__, labels)) for k in labels]
     return CharacterTable(
         group=group,
         labels=labels,
         classes=labels,
         class_sizes=tuple(class_size(k) for k in labels),
-        values=tuple(zip(*columns)),
+        values=tuple(zip(*map(column, labels))),
     )
 
 
-def _sym_column(nu: Partition) -> dict[Partition, int]:
+def _sym_column(nu: Partition) -> tuple[int, ...]:
     # one chi_sym value per label, so a fault in chi_sym or chi_typeb shows here
-    return {lam: chi_sym(lam, nu) for lam in partitions_of(nu.size)}
+    return tuple(chi_sym(lam, nu) for lam in partitions_of(nu.size))
 
 
 def character_table_sym(n: int) -> CharacterTable:

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +14,7 @@ from unicoh import unipotent
 from unicoh import weyl_characters as wc
 from unicoh.cli import main, parse_bipartition, parse_partition
 
+from child_env import child_env
 from cli_outputs import GOLDEN, rows, sha256
 from memos import MEMOS, clear_memos
 
@@ -421,7 +421,8 @@ class TestColumnFaultReachesTypeBTable:
         def broken(klass):
             column = original(klass)
             if klass == self.KLASS:
-                return {**column, self.LABEL: column[self.LABEL] + 1}
+                i = wc.labels_typeb(3).index(self.LABEL)
+                return column[:i] + (column[i] + 1,) + column[i + 1 :]
             return column
 
         monkeypatch.setattr(wc, "typeb_column", broken)
@@ -429,6 +430,27 @@ class TestColumnFaultReachesTypeBTable:
         assert wc.character_table_typeb(3).values != clean.values
         status, _, _ = run(capsys, "verify", "-q")
         assert status == 1
+
+
+class TestPlainTupleArguments:
+    # chi_typeb and typeb_column make their arguments Bipartitions of
+    # Partitions before they read, so a plain tuple, trailing zeros and all,
+    # reads the same value from empty memos as after its Bipartition is cached
+    @pytest.mark.parametrize("plain_first", [True, False], ids=["plain-first", "bipartition-first"])
+    @pytest.mark.parametrize(
+        "name, plain, canonical, expected",
+        [
+            ("chi_typeb", (((2, 0), ()), ((1, 1), ())), (Bipartition.of((2,), ()), Bipartition.of((1, 1), ())), 1),
+            ("chi_typeb", (Bipartition.of((), (1,)), ((), (1,))), (Bipartition.of((), (1,)), Bipartition.of((), (1,))), -1),
+            ("typeb_column", (((1,), ()),), (Bipartition.of((1,), ()),), (1, 1)),
+        ],
+        ids=["chi_typeb-label", "chi_typeb-class", "typeb_column"],
+    )
+    def test_both_call_orders_from_empty_memos(self, all_memos, name, plain, canonical, expected, plain_first):
+        all_memos()
+        function = getattr(wc, name)
+        calls = (plain, canonical) if plain_first else (canonical, plain)
+        assert [function(*args) for args in calls] == [expected, expected]
 
 
 class TestHorizontalStripCacheFault:
@@ -797,6 +819,26 @@ def test_pinned_rows_repeat_with_every_memo_warm(capsys, all_memos):
             assert (main(list(row.argv)), _sha256(capsys.readouterr().out)) == (row.status, row.digest)
 
 
+def test_verify_runs_twice_in_process_under_python_O():
+    # -O strips asserts, so every guard verify needs must raise on its own;
+    # the second run reads every memo the first one filled
+    row = PINNED[tuple("verify --theta 10 --max-theta 10 -q --format json".split())]
+    script = (
+        "import hashlib, io\n"
+        "from contextlib import redirect_stdout\n"
+        "from unicoh.cli import main\n"
+        "for _ in range(2):\n"
+        "    with redirect_stdout(io.StringIO()) as out:\n"
+        f"        status = main({list(row.argv)!r})\n"
+        "    print(status, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{row.status} {row.digest}"] * 2
+
+
 class TestPinnedRows:
     def test_deep_rows_parse_and_repeat_no_row(self):
         deep = {row.argv for row in rows(GOLDEN / "cli_outputs_deep.txt")}
@@ -864,15 +906,12 @@ class TestOneFormPerRun:
 
 class TestBrokenPipe:
     def test_reader_closing_early_exits_without_traceback(self):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         # about 280 kB of JSON, more than a pipe holds, so the write is still
         # blocked when the reader goes away
         proc = subprocess.Popen(
             [sys.executable, "-m", "unicoh.cli", "stratum", "--theta", "14", "--max-theta", "14",
              "-q", "--format", "json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()

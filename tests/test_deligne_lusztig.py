@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from operator import gt
 
 import pytest
@@ -31,6 +33,7 @@ from unicoh.deligne_lusztig import (
 )
 from unicoh.unipotent import symbol, to_symbol
 
+from child_env import child_env
 from oracles import (
     hard_lefschetz_failures,
     isotropic_subspace_count,
@@ -823,6 +826,25 @@ class TestDualPathGuard:
         with pytest.raises(VerificationError) as raised:
             stratum_term(3, 1, 0)
         assert str(raised.value).endswith(f"pieri only [{missing!r}], explicit only []")
+
+    @pytest.mark.parametrize("fault", ["[1:]", "[::-1]"], ids=["one-dropped", "reversed"])
+    def test_explicit_pair_fault_raises_under_python_O(self, fault):
+        # the comparison of the two paths is no assert, so -O keeps it
+        script = (
+            "from unicoh import deligne_lusztig as dl\n"
+            "from unicoh.errors import VerificationError\n"
+            "explicit = dl._stratum_term_explicit\n"
+            f"dl._stratum_term_explicit = lambda *cell: (explicit(*cell)[0], explicit(*cell)[1]{fault})\n"
+            "try:\n"
+            "    dl.stratum_cohomology(3)\n"
+            "except VerificationError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: stratum term mismatch")
 
     def test_one_label_replaced_after_the_guard_fails_verify(self, monkeypatch):
         # the only labelling step sits after the comparison, so a fault there

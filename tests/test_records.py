@@ -2,11 +2,9 @@
 documented, and importable without generating code."""
 
 import copy
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,6 +13,8 @@ from unicoh.cli import Document
 from unicoh.deligne_lusztig import CheckResult, coxeter_cohomology, verify_stratum
 from unicoh.unipotent import SymbolLabel, hc_series, symbol
 from unicoh.weyl_characters import character_table_typeb
+
+from child_env import child_env
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -25,11 +25,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         "import unicoh.cli\n"
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

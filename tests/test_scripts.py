@@ -3,7 +3,6 @@
 import hashlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,24 +14,18 @@ from unicoh import deligne_lusztig as dl
 from unicoh.cli import BROKEN_PIPE_STATUS
 from unicoh.deligne_lusztig import CohomologyEntry, CohomologyTable
 
+from child_env import child_env
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def script_env() -> dict[str, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    return env
 
 
 def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
     # under -O: a check in a script must not be an assert, which -O strips
     return subprocess.run(
         [sys.executable, "-O", str(SCRIPTS / name), *argv],
-        capture_output=True, text=True, env=script_env(), timeout=300,
+        capture_output=True, text=True, env=child_env(), timeout=300,
     )
 
 
@@ -59,7 +52,7 @@ def test_reader_closing_early_exits_141_without_traceback(argv):
     name, *rest = argv
     proc = subprocess.Popen(
         [sys.executable, str(SCRIPTS / name), *rest],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=script_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     assert proc.stdout.readline()
     proc.stdout.close()

@@ -1,8 +1,6 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +28,7 @@ from unicoh.deligne_lusztig import coxeter_hook, stratum_cohomology, stratum_ter
 from unicoh.harish_chandra import hc_induce
 from unicoh.unipotent import SymbolLabel, a_exponent, symbol
 
+from child_env import child_env
 from oracles import diagram_hooks, hook_formula_degree, syt_count, two_quotient_by_parity_split
 from strategies import partitions_up_to
 
@@ -156,11 +155,8 @@ class TestDegrees:
             "except ExactDivisionError as exc:\n"
             "    print('raised:', exc)\n"
         )
-        env = dict(os.environ)
-        src = str(Path(unipotent.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: U degree of (2, 1) not polynomial")
