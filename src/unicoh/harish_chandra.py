@@ -290,7 +290,8 @@ def induction_multiplicity_oracle(
     """
     if r + s > ORACLE_RANK_CAP:
         raise RankCapError(f"oracle rank {r + s} above cap {ORACLE_RANK_CAP}")
-    if weyl_label.size != r or Partition(sym_label).size != s:
+    weyl_label, sym_label, target = Bipartition.of(*weyl_label), Partition(sym_label), Bipartition.of(*target)
+    if weyl_label.size != r or sym_label.size != s:
         raise ValueError("label sizes must match the subgroup ranks")
     if target.size != r + s:
         raise ValueError("target label must be a bipartition of r + s")
@@ -302,7 +303,7 @@ def induction_multiplicity_oracle(
             continue
         for s_class in partitions_of(s):
             size_s = weyl_characters.sym_class_size(s_class) if s else 1
-            chi_s = weyl_characters.chi_sym(Partition(sym_label), s_class)
+            chi_s = weyl_characters.chi_sym(sym_label, s_class)
             if chi_s == 0:
                 continue
             fused = _fuse_class(b_class, s_class)

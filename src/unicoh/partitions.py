@@ -136,7 +136,6 @@ def hook_lengths(lam: Partition) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@cache
 def border_strips(lam: Partition, size: int) -> tuple[BorderStrip, ...]:
     """All removable border strips of the given size.
 
@@ -144,9 +143,9 @@ def border_strips(lam: Partition, size: int) -> tuple[BorderStrip, ...]:
     landing on a free nonnegative value; the height is the number of beta
     values strictly between beta_i - x and beta_i.
 
-    Memoised per (lam, size), so both arguments must be hashable (a
-    Partition or a plain tuple of parts, not a list); the Murnaghan-Nakayama
-    recursions ask for the same few strip sets many times over.
+    Not memoised: the Murnaghan-Nakayama recursion asks for each (lam, size)
+    once, through `weyl_characters._strip_moves`, which keeps the strips as
+    positions in `partitions_of`.
     """
     lam = Partition(lam)
     if size <= 0:
@@ -246,24 +245,22 @@ def from_core_quotient(t: int, quotient: Bipartition) -> Partition:
     return lam
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n in descending tuple order; a negative n raises ValueError."""
+@cache
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n in descending tuple order, built once per int n (a
+    first part, then a partition of the rest with no larger part): the one
+    tuple the type-B labels and strip moves index into.  A negative n raises
+    ValueError on every call, as an exception is not cached."""
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-
-    def gen(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield Partition(prefix)
-        for part in range(min(cap, remaining), 0, -1):
-            yield from gen(remaining - part, part, prefix + (part,))
-
-    return gen(n, n, ())
+    first_parts = range(n, 0, -1)
+    found = (Partition((p,) + rest) for p in first_parts for rest in partitions_of(n - p) if rest[:1] <= (p,))
+    return tuple(found) or (EMPTY,)  # the empty partition is the one partition of 0
 
 
 def bipartitions_of(n: int) -> Iterator[Bipartition]:
     """All bipartitions of n in descending tuple order; a negative n raises ValueError."""
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    parts = [tuple(partitions_of(k)) for k in range(n + 1)]
-    firsts = sorted(chain.from_iterable(parts), reverse=True)
-    return (Bipartition(first, second) for first in firsts for second in parts[n - first.size])
+    firsts = sorted(chain.from_iterable(map(partitions_of, range(n + 1))), reverse=True)
+    return (Bipartition(first, second) for first in firsts for second in partitions_of(n - first.size))

@@ -8,13 +8,15 @@ the class with its last cycle removed.  A column lists its values in
 `labels_typeb` order, one block per alpha with beta running over the
 partitions of a - |alpha|, so a strip taken from alpha moves a whole block
 and a strip taken from beta moves a position inside one.  Those moves depend
-only on the rank and the length of the removed cycle, so `_block_moves(a, x)`
-reads the strips once for every class that shares them, and a column is
-summed by integer indexing into the previous one.  `chi_typeb` reads its
-value from that column at its label's position, and the W_a character table
-takes each class's whole column as it is, so its values do not pass through
-`chi_typeb`.  A symmetric-group value is the type-B value at (lam, empty),
-(nu, empty); the S_n table reads them one `chi_sym` value at a time.
+only on the rank and the length x of the removed cycle: `_block_moves(a, x)`
+reads both kinds from `_strip_moves(k, x)`, the strips of each partition of
+k as positions in `partitions_of(k - x)`, the one tuple per size that labels,
+blocks and moves index into, and a column is summed by integer indexing into
+the previous one.  `chi_typeb` reads its value from that column at its
+label's position, and the W_a character table takes each class's whole
+column as it is, so its values do not pass through `chi_typeb`.  A
+symmetric-group value is the type-B value at (lam, empty), (nu, empty); the
+S_n table reads them one `chi_sym` value at a time.
 `signed_class_sizes` counts the classes of the type-B group by brute force
 over signed permutations, an independent oracle for small rank.
 """
@@ -26,7 +28,6 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cache, reduce
 from math import factorial
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .errors import RankCapError
@@ -115,15 +116,17 @@ def typeb_column(klass: Bipartition) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _blocks(a: int) -> Iterator[tuple[Partition, int, tuple[Partition, ...]]]:
-    """(alpha, offset, betas) for each block of `labels_typeb(a)`, in order:
-    the labels (alpha, beta), beta running over `partitions_of(a - |alpha|)`,
-    start at that offset."""
-    offset = 0
-    for alpha, labels in itertools.groupby(labels_typeb(a), itemgetter(0)):
-        betas = tuple(map(itemgetter(1), labels))
-        yield alpha, offset, betas
-        offset += len(betas)
+def _blocks(a: int) -> Iterator[tuple[Partition, int, int]]:
+    """(alpha, its position in `partitions_of(|alpha|)`, offset) for each block
+    of `labels_typeb(a)`, in order: the labels (alpha, beta), beta running over
+    `partitions_of(a - |alpha|)`, start at that offset.  The alphas of one size
+    descend, as in `partitions_of`, so a position counts the alphas of its size."""
+    labels, seen, offset = labels_typeb(a), [0] * (a + 1), 0
+    while offset < len(labels):
+        alpha = labels[offset].first
+        yield alpha, seen[alpha.size], offset
+        seen[alpha.size] += 1
+        offset += len(partitions_of(a - alpha.size))
 
 
 @cache
@@ -131,30 +134,28 @@ def _block_moves(a: int, x: int) -> tuple[tuple, ...]:
     """The strips of size x of the labels of W_a, one entry per block of
     `labels_typeb(a)`: the offset of alpha's own block in the W_(a-x) column
     (None if |alpha| > a - x, when no beta has a strip); the strips of each
-    beta, as positions in that block (`_strip_moves`); and the strips of
-    alpha, as the offsets there of the blocks of what they leave, those of
-    even height and those of odd height."""
-    offsets, lower_betas = {}, {}
-    for alpha, offset, betas in _blocks(a - x):
-        offsets[alpha], lower_betas[alpha] = offset, betas
-    beta_moves = {}
+    beta, as positions in that block; and the strips of alpha, as the offsets
+    there of the blocks of what they leave, those of even height and those of
+    odd height.  Both come from `_strip_moves`."""
+    offsets = {(alpha.size, i): offset for alpha, i, offset in _blocks(a - x)}
     moves = []
-    for alpha, _, betas in _blocks(a):
-        k = a - alpha.size
-        if k not in beta_moves:
-            beta_moves[k] = _strip_moves(betas, lower_betas.get(alpha, ()), x)
-        even, odd = _by_parity(border_strips(alpha, x), offsets.__getitem__)
-        moves.append((offsets.get(alpha), beta_moves[k], even, odd))
+    for alpha, i, _ in _blocks(a):
+        m = alpha.size
+        even, odd = (tuple(offsets[m - x, j] for j in js) for js in _strip_moves(m, x)[i])
+        moves.append((offsets.get((m, i)), _strip_moves(a - m, x), even, odd))
     return tuple(moves)
 
 
 @cache
-def _strip_moves(betas: tuple[Partition, ...], rest: tuple[Partition, ...], x: int) -> tuple:
-    """The strips of size x of each of betas, as the positions in rest of
-    what they leave, split by `_by_parity`.  Called with the partitions of k
-    and of k - x, so it is memoised per (k, x) and shared by every rank."""
-    position = {nu: i for i, nu in enumerate(rest)}.__getitem__
-    return tuple(_by_parity(border_strips(beta, x), position) for beta in betas)
+def _strip_moves(k: int, x: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The strips of size x of each partition of k, in `partitions_of(k)` order,
+    as the positions in `partitions_of(k - x)` of what they leave, split by
+    `_by_parity`: read by the alpha and the beta side of every rank, so
+    `border_strips` is asked once per (partition, x)."""
+    if k < x:  # no partition of k has a strip of size x
+        return (((), ()),) * len(partitions_of(k))
+    position = {nu: i for i, nu in enumerate(partitions_of(k - x))}.__getitem__
+    return tuple(_by_parity(border_strips(mu, x), position) for mu in partitions_of(k))
 
 
 def _by_parity(strips, place) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -191,7 +192,7 @@ def sym_class_size(nu: Partition) -> int:
 def typeb_class_size(klass: Bipartition) -> int:
     """Number of signed permutations of signed cycle type (gamma, theta); a
     cycle of length l adds 2l to the centralizer order where S_a's adds l."""
-    gamma, theta = klass
+    gamma, theta = klass = Bipartition.of(*klass)
     z = 2 ** (len(gamma) + len(theta)) * sym_centralizer_order(gamma) * sym_centralizer_order(theta)
     return (2**klass.size * factorial(klass.size)) // z
 

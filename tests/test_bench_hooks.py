@@ -4,15 +4,21 @@
 cached ones whose hit counts it reads (``CACHED``).  A rename or a change of
 decorator in the package would silently drop them from a traced bench run,
 so these tests resolve every name the way ``Tracer._plan`` does.
+``perfbench/child.py``'s cold-state guard calls ``cache_info()`` on each memo
+of its ``CACHES``, so every one of those must stay a memo of the package.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from memos import MEMOS
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -57,3 +63,22 @@ def test_plan_patches_every_traced_function():
     for module_name, path, name in tracer.TRACED:
         owner, attr = _resolve(module_name, path)
         assert id(vars(owner)[attr]) in patched, f"{name} would not be traced"
+
+
+def _child_caches() -> list[tuple[str, str]]:
+    """(module, function) of each value of child.py's CACHES, read with ast so
+    that perfbench's calib is not imported."""
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    (caches,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["CACHES"]
+    ]
+    return [(value.value.id, value.attr) for value in caches.values]
+
+
+@pytest.mark.parametrize("module_name,attr", _child_caches())
+def test_child_cache_is_a_package_memo(module_name, attr):
+    fn = vars(importlib.import_module(f"unicoh.{module_name}"))[attr]
+    assert fn.cache_parameters() == {"maxsize": None, "typed": False}
+    assert any(fn is memo for memo in MEMOS)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -343,7 +344,7 @@ def test_the_memo_walk_finds_every_memo():
         "unicoh.deligne_lusztig.coxeter_hook",
         "unicoh.deligne_lusztig.index_form_row",
         "unicoh.harish_chandra.add_horizontal_strips",
-        "unicoh.partitions.border_strips",
+        "unicoh.partitions.partitions_of",
         "unicoh.unipotent._to_symbol",
         "unicoh.unipotent.degree_gl",
         "unicoh.unipotent.degree_u",
@@ -369,7 +370,7 @@ def all_memos():
 class TestStripCacheFault:
     def test_strip_fault_behind_warm_cache_flips_verify(self, capsys, monkeypatch, all_memos):
         clean = wc.character_table_typeb(3)
-        assert partitions.border_strips.cache_info().currsize > 0
+        assert wc._strip_moves.cache_info().currsize > 0
         original = wc.border_strips
 
         def broken(lam, size):
@@ -381,6 +382,26 @@ class TestStripCacheFault:
         assert wc.character_table_typeb(3).values != clean.values
         status, _, _ = run(capsys, "verify", "-q")
         assert status == 1
+
+
+class TestBorderStripsAskedOnce:
+    def test_each_strip_set_is_asked_once(self, monkeypatch, all_memos):
+        # border_strips has no memo: the strip moves of each (size, x) hold
+        # its answers as positions, for the alpha and the beta side alike
+        asked = Counter()
+        original = wc.border_strips
+
+        def counted(lam, size):
+            asked[lam, size] += 1
+            return original(lam, size)
+
+        monkeypatch.setattr(wc, "border_strips", counted)
+        all_memos()
+        for a in range(8):
+            wc.character_table_typeb(a)
+        wc.chi_typeb(Bipartition.of((5, 3, 1), (4, 2, 1)), Bipartition.of((2, 2, 1, 1), (3, 2, 2, 1, 1, 1)))
+        assert asked
+        assert [key for key, count in asked.items() if count > 1] == []
 
 
 class TestSymThroughTypeB:
@@ -433,22 +454,31 @@ class TestColumnFaultReachesTypeBTable:
 
 
 class TestPlainTupleArguments:
-    # chi_typeb and typeb_column make their arguments Bipartitions of
-    # Partitions before they read, so a plain tuple, trailing zeros and all,
-    # reads the same value from empty memos as after its Bipartition is cached
+    # chi_typeb, typeb_column, typeb_class_size and the reciprocity oracle make
+    # their arguments Bipartitions of Partitions before they read, so a plain
+    # tuple, trailing zeros and all, reads the same value from empty memos as
+    # after its Bipartition is cached
     @pytest.mark.parametrize("plain_first", [True, False], ids=["plain-first", "bipartition-first"])
     @pytest.mark.parametrize(
-        "name, plain, canonical, expected",
+        "module, name, plain, canonical, expected",
         [
-            ("chi_typeb", (((2, 0), ()), ((1, 1), ())), (Bipartition.of((2,), ()), Bipartition.of((1, 1), ())), 1),
-            ("chi_typeb", (Bipartition.of((), (1,)), ((), (1,))), (Bipartition.of((), (1,)), Bipartition.of((), (1,))), -1),
-            ("typeb_column", (((1,), ()),), (Bipartition.of((1,), ()),), (1, 1)),
+            (wc, "chi_typeb", (((2, 0), ()), ((1, 1), ())), (Bipartition.of((2,), ()), Bipartition.of((1, 1), ())), 1),
+            (wc, "chi_typeb", (Bipartition.of((), (1,)), ((), (1,))), (Bipartition.of((), (1,)), Bipartition.of((), (1,))), -1),
+            (wc, "typeb_column", (((1,), ()),), (Bipartition.of((1,), ()),), (1, 1)),
+            (wc, "typeb_class_size", (((1,), ()),), (Bipartition.of((1,), ()),), 1),
+            (
+                hc,
+                "induction_multiplicity_oracle",
+                (1, 1, ((1,), ()), (1,), ((2,), ())),
+                (1, 1, Bipartition.of((1,), ()), Partition((1,)), Bipartition.of((2,), ())),
+                1,
+            ),
         ],
-        ids=["chi_typeb-label", "chi_typeb-class", "typeb_column"],
+        ids=["chi_typeb-label", "chi_typeb-class", "typeb_column", "typeb_class_size", "induction_multiplicity_oracle"],
     )
-    def test_both_call_orders_from_empty_memos(self, all_memos, name, plain, canonical, expected, plain_first):
+    def test_both_call_orders_from_empty_memos(self, all_memos, module, name, plain, canonical, expected, plain_first):
         all_memos()
-        function = getattr(wc, name)
+        function = getattr(module, name)
         calls = (plain, canonical) if plain_first else (canonical, plain)
         assert [function(*args) for args in calls] == [expected, expected]
 

@@ -241,12 +241,6 @@ class TestBorderStripCache:
         assert border_strips((3, 3, 2, 2, 1), 4) == border_strips(Partition((3, 3, 2, 2, 1)), 4)
         assert all(isinstance(s.result, Partition) for s in border_strips((3, 1, 1), 2))
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_cached_matches_uncached(self, n):
-        for lam in partitions_of(n):
-            for size in range(1, n + 1):
-                assert border_strips(lam, size) == border_strips.__wrapped__(lam, size), (lam, size)
-
 
 class TestCoreQuotient:
     def test_core_worked_example(self):
@@ -379,6 +373,14 @@ class TestEnumeration:
     def test_negative_size_has_no_partitions(self):
         with pytest.raises(ValueError, match="size must be nonnegative, got -1"):
             partitions_of(-1)
+
+    def test_one_tuple_per_size(self):
+        # built once per size and shared; the size check still runs on each call
+        assert type(partitions_of(6)) is tuple
+        assert partitions_of(6) is partitions_of(6)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="size must be nonnegative, got -1"):
+                partitions_of(-1)
 
     def test_negative_size_has_no_bipartitions(self):
         with pytest.raises(ValueError, match="size must be nonnegative, got -1"):

@@ -17,11 +17,12 @@ from unicoh import (
     sym_class_size,
     typeb_class_size,
 )
-from unicoh.weyl_characters import labels_typeb, signed_cycle_type, signed_permutations, typeb_column
+from unicoh.weyl_characters import _strip_moves, labels_typeb, signed_cycle_type, signed_permutations, typeb_column
 
 from oracles import (
     chi_typeb_by_recursion,
     compose,
+    geometric_border_strips,
     label_sort_key,
     permutation_of_cycle_type,
     permutation_sign,
@@ -123,6 +124,23 @@ class TestColumnsAgainstRecursion:
         with pytest.raises(ValueError) as fast:
             chi_typeb(label, klass)
         assert str(fast.value) == str(oracle.value) == f"size mismatch between label {label} and class {klass}"
+
+
+class TestStripMoves:
+    """`_strip_moves(k, x)` keeps the strips of size x of each partition of k
+    as positions in `partitions_of(k - x)`; the diagram walk is the oracle."""
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_moves_name_the_strips(self, k):
+        parts = partitions_of(k)
+        assert _strip_moves(k, k + 1) == (((), ()),) * len(parts)
+        for x in range(1, k + 1):
+            moves, rest = _strip_moves(k, x), partitions_of(k - x)
+            assert len(moves) == len(parts)
+            for mu, (even, odd) in zip(parts, moves):
+                read = [(rest[j], 0) for j in even] + [(rest[j], 1) for j in odd]
+                expected = [(nu, height % 2) for nu, height in geometric_border_strips(mu, x)]
+                assert sorted(read) == sorted(expected), (mu, x)
 
 
 class TestClassSizes:
