@@ -158,7 +158,7 @@ def _check_stratum_args(theta: int, theta_prime: int) -> None:
 def _stratum_term_pieri(theta: int, theta_prime: int, a: int) -> tuple[int, tuple]:
     """Induce the exponent-a Coxeter label of U_{2theta_prime+1} tensored with the
     trivial GL_{theta-theta_prime}(q^2) label up to U_{2theta+1}(q), as its t
-    and the `pieri_induce` output."""
+    and the `pieri_induce` output: plain (alpha, beta) tuples of Partitions."""
     start = to_symbol(coxeter_hook(theta_prime, a))
     return start.t, hc.pieri_induce(start.bipartition, theta - theta_prime)
 
@@ -190,9 +190,9 @@ def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:
     of type 2*theta_prime + 1 inside the closed stratum of type 2*theta + 1.
 
     Computed twice as (t, pairs), by Pieri induction and direct enumeration,
-    compared as tuples (hashing nothing, and checking the order of
-    `pieri_induce`), then labelled once.  A mismatch, or a repeated
-    constituent, raises VerificationError.
+    each pair a plain (alpha, beta) tuple, compared as tuples (hashing
+    nothing, and checking the order of `pieri_induce`), then labelled once.
+    A mismatch, or a repeated constituent, raises VerificationError.
     """
     _check_stratum_args(theta, theta_prime)
     _check_exponent(theta_prime, a)

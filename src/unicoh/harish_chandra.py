@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cache, partial
-from itertools import accumulate, chain, repeat, starmap
+from itertools import accumulate, chain, product, repeat, starmap
 from math import factorial
 from operator import attrgetter, index, is_not
 
@@ -97,44 +97,54 @@ def remove_horizontal_strips(lam: Partition, boxes: int) -> tuple[Partition, ...
 # -- Pieri rule ----------------------------------------------------------
 
 
-def _pair_strips(start: Bipartition, boxes: int, strips) -> tuple[Bipartition, ...]:
+def _pair_strips(start: tuple[Partition, Partition], boxes: int, strips) -> tuple[tuple[Partition, Partition], ...]:
     """Every (first, second) with d boxes moved on the first component and
     boxes - d on the second, in descending tuple order.
 
-    Each strip tuple is already in that order, so sorting the first
-    components once and emitting each one's seconds as they come gives the
-    order of sorting every pair.  A first component of size
-    |start.first| + d (adding) or |start.first| - d (deleting) takes the
-    seconds of d.  The pairs become Bipartitions through `tuple.__new__`,
-    as the NamedTuple constructor would make them.
+    `start` is a Bipartition or any plain (first, second) pair of
+    partitions.  Each strip tuple is already in that order, so sorting the
+    first components once and emitting each one's seconds as they come gives
+    the order of sorting every pair.  A first component of size
+    sum(first) + d (adding) or sum(first) - d (deleting) takes the seconds of
+    d.  Each pair is a plain 2-tuple of Partitions, made by `product` at C
+    level; it equals, and hashes as, the Bipartition of its two components.
     """
-    firsts = sorted(chain.from_iterable(map(strips, repeat(start.first), range(boxes + 1))), reverse=True)
-    seconds = list(map(strips, repeat(start.second), range(boxes, -1, -1)))
-    base = start.first.size
-    new = tuple.__new__
-    return tuple([new(Bipartition, (first, second))
-                  for first in firsts for second in seconds[abs(sum(first) - base)]])
+    first, second = start
+    firsts = sorted(chain.from_iterable(map(strips, repeat(first), range(boxes + 1))), reverse=True)
+    seconds = list(map(strips, repeat(second), range(boxes, -1, -1)))
+    base = sum(first)
+    return tuple(chain.from_iterable(map(product, zip(firsts), [seconds[abs(sum(f) - base)] for f in firsts])))
 
 
-def pieri_induce(start: Bipartition, boxes: int) -> tuple[Bipartition, ...]:
+def pieri_induce(start: tuple[Partition, Partition], boxes: int) -> tuple[tuple[Partition, Partition], ...]:
     """Constituents of Ind(chi_start x trivial) from W_r x S_boxes to W_{r+boxes}.
 
+    `start` is any (first, second) pair of partitions: a Bipartition, a
+    plain tuple, or an output of this function or of `pieri_restrict`.
     Multiplicity-free: split the boxes between the two components in every
     way and add each share as a horizontal strip.  Each component's strips
     are enumerated once per box count and then paired, in descending tuple
-    order (`stratum_term` checks it).
+    order (`stratum_term` checks it).  Each constituent is a plain
+    (first, second) tuple of Partitions.
     """
     if boxes < 0:
         raise ValueError("cannot add a negative number of boxes")
     return _pair_strips(start, boxes, add_horizontal_strips)
 
 
-def pieri_restrict(start: Bipartition, boxes: int) -> tuple[Bipartition, ...]:
-    """Constituents of the restriction from W_a to W_{a-boxes} (times S_boxes, trivial part)."""
+def pieri_restrict(start: tuple[Partition, Partition], boxes: int) -> tuple[tuple[Partition, Partition], ...]:
+    """Constituents of the restriction from W_a to W_{a-boxes} (times S_boxes, trivial part).
+
+    `start` is any (first, second) pair of partitions, of a = the sum of
+    both components' parts; the constituents are plain (first, second)
+    tuples of Partitions in descending tuple order, as from `pieri_induce`.
+    """
     if boxes < 0:
         raise ValueError("cannot delete a negative number of boxes")
-    if boxes > start.size:
-        raise ValueError(f"cannot delete {boxes} boxes from a bipartition of {start.size}")
+    first, second = start
+    size = sum(first) + sum(second)
+    if boxes > size:
+        raise ValueError(f"cannot delete {boxes} boxes from a bipartition of {size}")
     return _pair_strips(start, boxes, remove_horizontal_strips)
 
 
@@ -245,9 +255,9 @@ def hc_induce(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> RepMultiset:
     GL block.
 
     The bipartition side is an iterated Pieri induction, one GL block at a
-    time, and each Pieri output becomes its label (from the `symbol` memo)
-    as it comes.  Rank-zero GL blocks are the identity and are skipped.
-    Multiplicities add up in a plain dict.  `unicoh induce` calls it, and
+    time, and each Pieri output, a plain (alpha, beta) pair, becomes its
+    label (from the `symbol` memo) as it comes.  Rank-zero GL blocks are the
+    identity and are skipped.  Multiplicities add up in a plain dict.  `unicoh induce` calls it, and
     the tests use it as the oracle of `deligne_lusztig.stratum_term`.
     """
     if min(gl_ranks, default=0) < 0:

@@ -22,8 +22,11 @@ class Partition(tuple):
     Parts must be integers (`operator.index`): a float or a string raises
     TypeError rather than being truncated or parsed.  A Partition passed in
     is returned as it is, since it was checked when it was built and cannot
-    change.  Trailing zeros go in one backward scan and one slice.
+    change.  Trailing zeros go in one backward scan and one slice.  No slots
+    and no instance dict, so no attribute can be set on one.
     """
+
+    __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
         if type(parts) is cls:

@@ -455,9 +455,10 @@ class TestColumnFaultReachesTypeBTable:
 
 class TestPlainTupleArguments:
     # chi_typeb, typeb_column, typeb_class_size and the reciprocity oracle make
-    # their arguments Bipartitions of Partitions before they read, so a plain
-    # tuple, trailing zeros and all, reads the same value from empty memos as
-    # after its Bipartition is cached
+    # their arguments Bipartitions of Partitions before they read, and the
+    # Pieri rule unpacks any (first, second) pair, so a plain tuple, trailing
+    # zeros and all, reads the same value from empty memos as after its
+    # Bipartition is cached
     @pytest.mark.parametrize("plain_first", [True, False], ids=["plain-first", "bipartition-first"])
     @pytest.mark.parametrize(
         "module, name, plain, canonical, expected",
@@ -473,8 +474,30 @@ class TestPlainTupleArguments:
                 (1, 1, Bipartition.of((1,), ()), Partition((1,)), Bipartition.of((2,), ())),
                 1,
             ),
+            (
+                hc,
+                "pieri_induce",
+                (((2, 0), ()), 1),
+                (Bipartition.of((2,), ()), 1),
+                (((3,), ()), ((2, 1), ()), ((2,), (1,))),
+            ),
+            (
+                hc,
+                "pieri_restrict",
+                (((2, 0), (1, 0)), 1),
+                (Bipartition.of((2,), (1,)), 1),
+                (((2,), ()), ((1,), (1,))),
+            ),
         ],
-        ids=["chi_typeb-label", "chi_typeb-class", "typeb_column", "typeb_class_size", "induction_multiplicity_oracle"],
+        ids=[
+            "chi_typeb-label",
+            "chi_typeb-class",
+            "typeb_column",
+            "typeb_class_size",
+            "induction_multiplicity_oracle",
+            "pieri_induce",
+            "pieri_restrict",
+        ],
     )
     def test_both_call_orders_from_empty_memos(self, all_memos, module, name, plain, canonical, expected, plain_first):
         all_memos()

@@ -106,13 +106,13 @@ class TestStripsMatchUnprunedOracle:
                     expected = pieri_by_nested_strips(start, boxes, unpruned_add_strips)
                     got = pieri_induce(start, boxes)
                     assert got == expected
-                    # equal plain pairs would compare equal too
-                    assert all(type(out) is Bipartition for out in got)
+                    # equal Bipartitions would compare equal too
+                    assert all(type(out) is tuple and len(out) == 2 and all(type(x) is Partition for x in out) for out in got)
                 for boxes in range(n + 1):
                     expected = pieri_by_nested_strips(start, boxes, unpruned_remove_strips)
                     got = pieri_restrict(start, boxes)
                     assert got == expected
-                    assert all(type(out) is Bipartition for out in got)
+                    assert all(type(out) is tuple and len(out) == 2 and all(type(x) is Partition for x in out) for out in got)
 
 
 class TestStripCache:

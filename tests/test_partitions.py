@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -56,6 +58,24 @@ class TestPartitionType:
     def test_partition_is_returned_as_it_is(self):
         lam = Partition((3, 1))
         assert Partition(lam) is lam
+
+    def test_no_attribute_can_be_set(self):
+        # partitions are memo keys and memo values, so none may carry state
+        lam = Partition((2, 1))
+        with pytest.raises(AttributeError):
+            lam.note = 1
+        assert not hasattr(lam, "__dict__")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_keeps_type_and_value(self, protocol):
+        for lam in (Partition(), Partition((3, 2, 2, 1))):
+            copied = pickle.loads(pickle.dumps(lam, protocol))
+            assert type(copied) is Partition and copied == lam
+
+    def test_deepcopy_keeps_type_and_value(self):
+        lam = Partition((3, 2, 2, 1))
+        copied = copy.deepcopy(lam)
+        assert type(copied) is Partition and copied == lam
 
     def test_size_and_rows(self):
         lam = Partition((3, 3, 2, 2, 1))
