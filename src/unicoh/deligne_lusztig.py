@@ -17,8 +17,9 @@ pattern is not the expected one.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, partial
+from functools import lru_cache, partial
 from itertools import starmap
+from operator import index
 from typing import NamedTuple
 
 from .errors import VerificationError
@@ -97,21 +98,22 @@ class CohomologyTable(NamedTuple):
 
 
 def _check_exponent(k: int, a: int) -> None:
+    k, a = index(k), index(a)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not 0 <= a <= 2 * k:
         raise ValueError(f"exponent {a} out of range 0..{2 * k}")
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def coxeter_hook(k: int, a: int) -> Partition:
     """Hook partition (1 + a, 1**(2k - a)) of 2k + 1 attached to eigenvalue exponent a.
 
     Memoised on the two integers, so each stratum cell and index-form row
     reads one built and checked Partition.  It reads no label, like
-    `index_form_row`.  `k` and `a` must already be `int`s, as for `symbol`:
-    the memo keys 1.0 and 1 as one entry.  The memo stores no exception, so
-    an out-of-range `a` raises on every call.
+    `index_form_row`.  The memo is typed and stores no exception, and the
+    check reads `k` and `a` through `operator.index`, so a float or an
+    out-of-range `a` raises on every call.
     """
     _check_exponent(k, a)
     return Partition((1 + a,) + (1,) * (2 * k - a))
@@ -149,6 +151,7 @@ def coxeter_eigenspace_dim(k: int, a: int) -> IntPolynomial:
 
 
 def _check_stratum_args(theta: int, theta_prime: int) -> None:
+    theta, theta_prime = index(theta), index(theta_prime)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     if not 0 <= theta_prime <= theta:
@@ -213,7 +216,7 @@ def stratum_term(theta: int, theta_prime: int, a: int) -> RepMultiset:
     return term
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def index_form_row(theta: int, theta_prime: int) -> tuple[IntPolynomial, ...]:
     """The Harish-Chandra index forms of stratum row (theta, theta'), by a = 0..2theta'.
 
@@ -230,8 +233,8 @@ def index_form_row(theta: int, theta_prime: int) -> tuple[IntPolynomial, ...]:
     by q**m - (-1)**m and divides it by q**(a+1) - (-1)**(a+1): one
     `two_term_steps` per cell, which raises if a division is not exact.
 
-    Memoised on the two integers: it reads no first-page label, so it
-    cannot hold a value computed from a faulty label.
+    Memoised on the two integers, typed like `coxeter_hook`: it reads no
+    first-page label, so it cannot hold a value computed from a faulty label.
     """
     _check_stratum_args(theta, theta_prime)
     top = 2 * theta_prime

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import cache, partial
 from itertools import accumulate, chain, product, repeat, starmap
 from math import factorial
-from operator import attrgetter, index, is_not
+from operator import attrgetter, index
 
 from .errors import RankCapError
 from . import weyl_characters
@@ -101,15 +101,16 @@ def _pair_strips(start: tuple[Partition, Partition], boxes: int, strips) -> tupl
     """Every (first, second) with d boxes moved on the first component and
     boxes - d on the second, in descending tuple order.
 
-    `start` is a Bipartition or any plain (first, second) pair of
-    partitions.  Each strip tuple is already in that order, so sorting the
-    first components once and emitting each one's seconds as they come gives
-    the order of sorting every pair.  A first component of size
-    sum(first) + d (adding) or sum(first) - d (deleting) takes the seconds of
-    d.  Each pair is a plain 2-tuple of Partitions, made by `product` at C
-    level; it equals, and hashes as, the Bipartition of its two components.
+    `start` is any (first, second) pair of partitions, made Partitions first,
+    so a list or trailing zeros key the strip memo as the Partition does.
+    Each strip tuple is already in that order, so sorting the first components
+    once and emitting each one's seconds as they come gives the order of
+    sorting every pair.  A first component of size sum(first) + d (adding)
+    or sum(first) - d (deleting) takes the seconds of d.  Each pair is a
+    plain 2-tuple of Partitions, made by `product` at C level; it equals,
+    and hashes as, the Bipartition of its two components.
     """
-    first, second = start
+    first, second = map(Partition, start)
     firsts = sorted(chain.from_iterable(map(strips, repeat(first), range(boxes + 1))), reverse=True)
     seconds = list(map(strips, repeat(second), range(boxes, -1, -1)))
     base = sum(first)
@@ -120,7 +121,7 @@ def pieri_induce(start: tuple[Partition, Partition], boxes: int) -> tuple[tuple[
     """Constituents of Ind(chi_start x trivial) from W_r x S_boxes to W_{r+boxes}.
 
     `start` is any (first, second) pair of partitions: a Bipartition, a
-    plain tuple, or an output of this function or of `pieri_restrict`.
+    plain tuple or list, or an output of this function or of `pieri_restrict`.
     Multiplicity-free: split the boxes between the two components in every
     way and add each share as a horizontal strip.  Each component's strips
     are enumerated once per box count and then paired, in descending tuple
@@ -166,13 +167,8 @@ class RepMultiset:
         # a dict, list or tuple skips the Mapping ABC check; an iterable is
         # counted by Counter only when a label repeats; the rest is C level
         if isinstance(items, dict) or (type(items) not in (list, tuple) and isinstance(items, Mapping)):
-            counts = dict(items)
-            mults = list(map(index, counts.values()))
-            if any(map(is_not, mults, counts.values())):  # a bool or another integer type
-                counts = dict(zip(counts, mults))
-            if 0 in mults:
-                counts = {label: mult for label, mult in counts.items() if mult}
-            if mults and min(mults) < 0:
+            counts = {label: mult for label, mult in zip(items, map(index, items.values())) if mult}
+            if min(counts.values(), default=0) < 0:
                 raise ValueError("multiplicities must be nonnegative")
         else:
             labels = list(items)
@@ -256,17 +252,16 @@ def hc_induce(unitary: SymbolLabel, gl_ranks: tuple[int, ...]) -> RepMultiset:
 
     The bipartition side is an iterated Pieri induction, one GL block at a
     time, and each Pieri output, a plain (alpha, beta) pair, becomes its
-    label (from the `symbol` memo) as it comes.  Rank-zero GL blocks are the
-    identity and are skipped.  Multiplicities add up in a plain dict.  `unicoh induce` calls it, and
-    the tests use it as the oracle of `deligne_lusztig.stratum_term`.
+    label (from the `symbol` memo) as it comes.  A rank-zero GL block is the
+    identity, as `pieri_induce(start, 0)` returns start alone.  Multiplicities
+    add up in a plain dict.  `unicoh induce` calls it, and the tests use it
+    as the oracle of `deligne_lusztig.stratum_term`.
     """
     if min(gl_ranks, default=0) < 0:
         raise ValueError("ranks must be nonnegative")
     label_of = partial(symbol, unitary.t)
     current = {label_of(unitary.alpha, unitary.beta): 1}
     for a in gl_ranks:
-        if a == 0:
-            continue
         nxt: dict[SymbolLabel, int] = {}
         for label, mult in current.items():
             # pieri_induce is multiplicity-free, so each output adds mult

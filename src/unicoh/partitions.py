@@ -8,10 +8,10 @@ share across threads.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import chain
 from operator import add, ge, index, sub
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import VerificationError
 
@@ -248,12 +248,14 @@ def from_core_quotient(t: int, quotient: Bipartition) -> Partition:
     return lam
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in descending tuple order, built once per int n (a
     first part, then a partition of the rest with no larger part): the one
-    tuple the type-B labels and strip moves index into.  A negative n raises
-    ValueError on every call, as an exception is not cached."""
+    tuple the type-B labels and strip moves index into.  The memo is typed
+    and n read through `operator.index`, so a float raises TypeError, and a
+    negative n ValueError, on every call: an exception is not cached."""
+    n = index(n)
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     first_parts = range(n, 0, -1)
@@ -261,9 +263,11 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(found) or (EMPTY,)  # the empty partition is the one partition of 0
 
 
-def bipartitions_of(n: int) -> Iterator[Bipartition]:
-    """All bipartitions of n in descending tuple order; a negative n raises ValueError."""
+@lru_cache(maxsize=None, typed=True)
+def bipartitions_of(n: int) -> tuple[Bipartition, ...]:
+    """All bipartitions of n in descending tuple order, built once per int n:
+    the labels of W_n.  A negative n raises ValueError on every call."""
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     firsts = sorted(chain.from_iterable(map(partitions_of, range(n + 1))), reverse=True)
-    return (Bipartition(first, second) for first in firsts for second in partitions_of(n - first.size))
+    return tuple(Bipartition(first, second) for first in firsts for second in partitions_of(n - first.size))

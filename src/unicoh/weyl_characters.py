@@ -5,7 +5,7 @@ Murnaghan-Nakayama rule (strip removal with alternating signs), one class
 column at a time: `typeb_column(klass)` is the tuple of the values of every
 label of W_a at klass, built by one strip-removal step from the column of
 the class with its last cycle removed.  A column lists its values in
-`labels_typeb` order, one block per alpha with beta running over the
+`bipartitions_of(a)` order, one block per alpha with beta running over the
 partitions of a - |alpha|, so a strip taken from alpha moves a whole block
 and a strip taken from beta moves a position inside one.  Those moves depend
 only on the rank and the length x of the removed cycle: `_block_moves(a, x)`
@@ -13,10 +13,11 @@ reads both kinds from `_strip_moves(k, x)`, the strips of each partition of
 k as positions in `partitions_of(k - x)`, the one tuple per size that labels,
 blocks and moves index into, and a column is summed by integer indexing into
 the previous one.  `chi_typeb` reads its value from that column at its
-label's position, and the W_a character table takes each class's whole
-column as it is, so its values do not pass through `chi_typeb`.  A
-symmetric-group value is the type-B value at (lam, empty), (nu, empty); the
-S_n table reads them one `chi_sym` value at a time.
+label's position, and the W_a character table takes `bipartitions_of(a)` as
+its labels and each class's whole column as it is, so its values do not pass
+through `chi_typeb`.  A symmetric-group value is the type-B value at
+(lam, empty), (nu, empty); the S_n table reads them one `chi_sym` value at a
+time.
 `signed_class_sizes` counts the classes of the type-B group by brute force
 over signed permutations, an independent oracle for small rank.
 """
@@ -65,7 +66,7 @@ def chi_typeb(label: Bipartition, klass: Bipartition) -> int:
     the label's position; a label of another size is not in it.
     """
     label, klass = Bipartition.of(*label), Bipartition.of(*klass)
-    labels = labels_typeb(klass.size)
+    labels = bipartitions_of(klass.size)
     # the labels descend, so label's position is the first one not above it
     position = bisect_left(labels, True, key=label.__ge__)
     if labels[position : position + 1] != (label,):
@@ -76,7 +77,7 @@ def chi_typeb(label: Bipartition, klass: Bipartition) -> int:
 @cache
 def typeb_column(klass: Bipartition) -> tuple[int, ...]:
     """Every character value of W_a at one class: the value of each label of
-    size a, in `labels_typeb` order.  klass is made a Bipartition of
+    size a, in `bipartitions_of(a)` order.  klass is made a Bipartition of
     Partitions first, as in `chi_typeb`.
 
     One Murnaghan-Nakayama step from the column of the class with its last
@@ -118,10 +119,10 @@ def typeb_column(klass: Bipartition) -> tuple[int, ...]:
 
 def _blocks(a: int) -> Iterator[tuple[Partition, int, int]]:
     """(alpha, its position in `partitions_of(|alpha|)`, offset) for each block
-    of `labels_typeb(a)`, in order: the labels (alpha, beta), beta running over
+    of `bipartitions_of(a)`, in order: the labels (alpha, beta), beta running over
     `partitions_of(a - |alpha|)`, start at that offset.  The alphas of one size
     descend, as in `partitions_of`, so a position counts the alphas of its size."""
-    labels, seen, offset = labels_typeb(a), [0] * (a + 1), 0
+    labels, seen, offset = bipartitions_of(a), [0] * (a + 1), 0
     while offset < len(labels):
         alpha = labels[offset].first
         yield alpha, seen[alpha.size], offset
@@ -132,7 +133,7 @@ def _blocks(a: int) -> Iterator[tuple[Partition, int, int]]:
 @cache
 def _block_moves(a: int, x: int) -> tuple[tuple, ...]:
     """The strips of size x of the labels of W_a, one entry per block of
-    `labels_typeb(a)`: the offset of alpha's own block in the W_(a-x) column
+    `bipartitions_of(a)`: the offset of alpha's own block in the W_(a-x) column
     (None if |alpha| > a - x, when no beta has a strip); the strips of each
     beta, as positions in that block; and the strips of alpha, as the offsets
     there of the blocks of what they leave, those of even height and those of
@@ -164,12 +165,6 @@ def _by_parity(strips, place) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for height, result in strips:
         (odd if height % 2 else even).append(place(result))
     return tuple(even), tuple(odd)
-
-
-@cache
-def labels_typeb(a: int) -> tuple[Bipartition, ...]:
-    """All labels of W_a, in descending tuple order (that of bipartitions_of)."""
-    return tuple(bipartitions_of(a))
 
 
 # -- class sizes -------------------------------------------------------
@@ -285,11 +280,10 @@ class CharacterTable(NamedTuple):
         }
 
 
-def _character_table(group: str, labels, class_size, column) -> CharacterTable:
-    """Square table: labels and classes are both `labels`, which come in
-    descending tuple order.  `column(klass)` is the tuple of the values of
+def _character_table(group: str, labels: tuple, class_size, column) -> CharacterTable:
+    """Square table: labels and classes are both the memoised tuple `labels`,
+    in descending tuple order.  `column(klass)` is the tuple of the values of
     every label at klass, in that order, and is taken once per class as it is."""
-    labels = tuple(labels)
     return CharacterTable(
         group=group,
         labels=labels,
@@ -317,4 +311,4 @@ def character_table_typeb(a: int) -> CharacterTable:
     call time, and no value goes through `chi_typeb`."""
     if a < 0:
         raise ValueError("rank must be nonnegative")
-    return _character_table(f"W{a}", labels_typeb(a), typeb_class_size, typeb_column)
+    return _character_table(f"W{a}", bipartitions_of(a), typeb_class_size, typeb_column)

@@ -26,14 +26,17 @@ permutations for the conjugation-invariance test of `signed_cycle_type`.
 Two identities come from outside the engine and tie whole tables together:
 the Lefschetz point count at r = 1 (`lefschetz_number` against
 `isotropic_subspace_count`) and the one-box restriction from one theta to
-the next (`stratum_restriction_failures`).
+the next (`stratum_restriction_failures`).  A third rebuilds every generic
+degree from the orders of the maximal tori (`degree_from_torus_orders`),
+with its own Murnaghan-Nakayama over beta sets (`chi_sym_by_beta_sets`).
 """
 
 from collections import Counter
 from functools import cache, reduce
 from itertools import permutations
+from math import factorial
 
-from unicoh import Bipartition, IntPolynomial, Partition, border_strips, pieri_induce
+from unicoh import Bipartition, IntPolynomial, Partition, border_strips, partitions_of, pieri_induce
 from unicoh.deligne_lusztig import CohomologyTable, _restrict_one_box, coxeter_hook, stratum_term_dimension
 from unicoh.polynomial import linear_combination, prod, q_minus_sign, two_term_ratio
 from unicoh.unipotent import SymbolLabel, _hooks_flat, a_exponent, symbol_degree
@@ -152,6 +155,66 @@ def hook_formula_degree(lam: Partition, group: str) -> IntPolynomial:
     a = sum(i * part for i, part in enumerate(lam))
     num = IntPolynomial.q_power(a) * prod(factor(j) for j in range(1, lam.size + 1))
     return num.exact_div(prod(factor(h) for h in diagram_hooks(lam)))
+
+
+@cache
+def chi_sym_by_beta_sets(lam: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """chi^lam(nu) of the symmetric group by Murnaghan-Nakayama on beta sets,
+    sharing no code with `weyl_characters`: removing a border strip of length
+    r moves a bead b to a free b - r, with sign (-1)**(beads strictly between).
+    lam and nu are plain tuples of positive parts; nu is read from the front."""
+    if not nu:
+        return 1
+    r, rest, rows = nu[0], nu[1:], len(lam)
+    beads = [part + rows - 1 - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beads:
+        if b - r < 0 or b - r in beads:
+            continue
+        height = sum(1 for c in beads if b - r < c < b)
+        moved = sorted([c for c in beads if c != b] + [b - r], reverse=True)
+        mu = tuple(part for part in (c - (rows - 1 - i) for i, c in enumerate(moved)) if part)
+        total += (-1) ** height * chi_sym_by_beta_sets(mu, rest)
+    return total
+
+
+def lusztig_srinivasan_sign(lam: tuple[int, ...]) -> int:
+    """epsilon_lam = (-1)**(n(lam') + floor(N/2)), n(lam') = sum C(lam_i, 2), N = |lam|."""
+    return (-1) ** (sum(part * (part - 1) // 2 for part in lam) + sum(lam) // 2)
+
+
+@cache
+def _torus_terms(n: int) -> tuple[tuple[tuple[int, ...], IntPolynomial], ...]:
+    """(nu, |class nu| * (-1)**(floor(n/2) - #even parts) * prod_{j<=n}
+    (q**j - (-1)**j) / prod_i (q**nu_i - (-1)**nu_i)) for each nu of n: the
+    class of S_n times the index of the torus of type nu in U_n(q)."""
+    def factor(j: int) -> IntPolynomial:
+        return IntPolynomial.q_power(j) - (-1) ** j
+
+    order = prod(factor(j) for j in range(1, n + 1))
+    terms = []
+    for nu in partitions_of(n):
+        size = (-1) ** (n // 2 - sum(1 for part in nu if part % 2 == 0)) * factorial(n)
+        for i, m in Counter(nu).items():  # n! / z_nu; each partial product of z_nu divides n!
+            size //= i**m * factorial(m)
+        terms.append((tuple(nu), size * order.exact_div(prod(map(factor, nu)))))
+    return tuple(terms)
+
+
+def degree_from_torus_orders(lam: Partition, epsilon=lusztig_srinivasan_sign) -> IntPolynomial:
+    """Generic degree of the unipotent representation lam of U_N(q), N = |lam|,
+    from Deligne-Lusztig theory (Lusztig-Srinivasan, J. Algebra 49, 1977):
+    deg = epsilon_lam * sum over nu of chi^lam(nu) / z_nu * (-1)**(floor(N/2) -
+    #even parts of nu) * prod_{j<=N} (q**j - (-1)**j) / prod_i (q**nu_i -
+    (-1)**nu_i).  Only ring operations and `exact_div`; no hook, no symbol and
+    no library character value.  `epsilon` is the sign to use, for controls."""
+    lam = tuple(lam)
+    total = IntPolynomial.zero()
+    for nu, term in _torus_terms(sum(lam)):
+        chi = chi_sym_by_beta_sets(lam, nu)
+        if chi:
+            total = total + chi * term
+    return epsilon(lam) * total.exact_div(IntPolynomial.constant(factorial(sum(lam))))
 
 
 def dimension_by_reduce(multiset) -> IntPolynomial:

@@ -344,6 +344,7 @@ def test_the_memo_walk_finds_every_memo():
         "unicoh.deligne_lusztig.coxeter_hook",
         "unicoh.deligne_lusztig.index_form_row",
         "unicoh.harish_chandra.add_horizontal_strips",
+        "unicoh.partitions.bipartitions_of",
         "unicoh.partitions.partitions_of",
         "unicoh.unipotent._to_symbol",
         "unicoh.unipotent.degree_gl",
@@ -354,7 +355,6 @@ def test_the_memo_walk_finds_every_memo():
         "unicoh.weyl_characters._strip_moves",
         "unicoh.weyl_characters.chi_sym",
         "unicoh.weyl_characters.chi_typeb",
-        "unicoh.weyl_characters.labels_typeb",
         "unicoh.weyl_characters.typeb_column",
     ]
 
@@ -442,7 +442,7 @@ class TestColumnFaultReachesTypeBTable:
         def broken(klass):
             column = original(klass)
             if klass == self.KLASS:
-                i = wc.labels_typeb(3).index(self.LABEL)
+                i = wc.bipartitions_of(3).index(self.LABEL)
                 return column[:i] + (column[i] + 1,) + column[i + 1 :]
             return column
 
@@ -456,8 +456,8 @@ class TestColumnFaultReachesTypeBTable:
 class TestPlainTupleArguments:
     # chi_typeb, typeb_column, typeb_class_size and the reciprocity oracle make
     # their arguments Bipartitions of Partitions before they read, and the
-    # Pieri rule unpacks any (first, second) pair, so a plain tuple, trailing
-    # zeros and all, reads the same value from empty memos as after its
+    # Pieri rule makes both components of any (first, second) pair Partitions,
+    # so a plain tuple or list, trailing zeros and all, reads the same value from empty memos as after its
     # Bipartition is cached
     @pytest.mark.parametrize("plain_first", [True, False], ids=["plain-first", "bipartition-first"])
     @pytest.mark.parametrize(
@@ -483,8 +483,22 @@ class TestPlainTupleArguments:
             ),
             (
                 hc,
+                "pieri_induce",
+                (([2, 0], []), 1),
+                (Bipartition.of((2,), ()), 1),
+                (((3,), ()), ((2, 1), ()), ((2,), (1,))),
+            ),
+            (
+                hc,
                 "pieri_restrict",
                 (((2, 0), (1, 0)), 1),
+                (Bipartition.of((2,), (1,)), 1),
+                (((2,), ()), ((1,), (1,))),
+            ),
+            (
+                hc,
+                "pieri_restrict",
+                (([2, 0], [1]), 1),
                 (Bipartition.of((2,), (1,)), 1),
                 (((2,), ()), ((1,), (1,))),
             ),
@@ -496,7 +510,9 @@ class TestPlainTupleArguments:
             "typeb_class_size",
             "induction_multiplicity_oracle",
             "pieri_induce",
+            "pieri_induce-list",
             "pieri_restrict",
+            "pieri_restrict-list",
         ],
     )
     def test_both_call_orders_from_empty_memos(self, all_memos, module, name, plain, canonical, expected, plain_first):

@@ -11,6 +11,7 @@ from unicoh import (
     Partition,
     RepMultiset,
     VerificationError,
+    bipartitions_of,
     closed_stratum_cohomology,
     coxeter_cohomology,
     coxeter_eigenspace_dim,
@@ -18,6 +19,7 @@ from unicoh import (
     degree_u,
     eo_stratum_cohomology,
     from_symbol,
+    partitions_of,
     stratum_cohomology,
     stratum_term,
     verify_stratum,
@@ -78,6 +80,27 @@ class TestCoxeterHooks:
         for _ in range(2):
             with pytest.raises(ValueError, match="exponent 5 out of range 0..4"):
                 coxeter_hook(2, 5)
+
+
+class TestIntMemosRejectFloats:
+    # the memos are typed and the checks read their integers through
+    # operator.index, so a float raises whichever call fills the memo first
+    @pytest.mark.parametrize("float_first", [True, False], ids=["float-first", "int-first"])
+    @pytest.mark.parametrize(
+        "memo, ints",
+        [(coxeter_hook, (1, 0)), (dl.index_form_row, (2, 1)), (partitions_of, (3,)), (bipartitions_of, (3,))],
+        ids=["coxeter_hook", "index_form_row", "partitions_of", "bipartitions_of"],
+    )
+    def test_float_raises_in_either_order(self, memo, ints, float_first):
+        floats = (float(ints[0]),) + ints[1:]
+        memo.cache_clear()
+        if float_first:
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                memo(*floats)
+        value = memo(*ints)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            memo(*floats)
+        assert memo(*ints) is value
 
 
 class TestCoxeterCohomology:

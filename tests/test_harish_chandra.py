@@ -161,6 +161,15 @@ class TestPieri:
         assert pieri_induce(label, 0) == (label,)
         assert pieri_restrict(label, 0) == (label,)
 
+    def test_starts_that_are_not_partitions_share_the_strip_memo(self):
+        # both components are made Partitions before their strips are asked,
+        # so trailing zeros key the memo as the Partition does
+        add_horizontal_strips.cache_clear()
+        plain = pieri_induce(((2, 0), ()), 1)
+        canonical = pieri_induce(Bipartition.of((2,), ()), 1)
+        assert plain == canonical
+        assert add_horizontal_strips.cache_info().currsize == 4
+
     def test_column_plus_one(self):
         k = 3
         outs = set(pieri_induce(Bipartition.of((), (1,) * k), 1))
@@ -428,7 +437,7 @@ class TestHCInduce:
         sym = symbol(1, (2, 1), (1,))
         assert hc_induce(sym, ()) == RepMultiset([sym])
 
-    def test_rank_zero_gl_block_skipped(self):
+    def test_rank_zero_gl_block_is_identity(self):
         sym = symbol(2, (1,), ())
         assert hc_induce(sym, (0,)) == RepMultiset([sym])
 

@@ -29,7 +29,13 @@ from unicoh.harish_chandra import hc_induce
 from unicoh.unipotent import SymbolLabel, a_exponent, symbol
 
 from child_env import child_env
-from oracles import diagram_hooks, hook_formula_degree, syt_count, two_quotient_by_parity_split
+from oracles import (
+    degree_from_torus_orders,
+    diagram_hooks,
+    hook_formula_degree,
+    syt_count,
+    two_quotient_by_parity_split,
+)
 from strategies import partitions_up_to
 
 
@@ -163,6 +169,27 @@ class TestDegrees:
 
     def test_a_exponent(self):
         assert a_exponent(Partition((3, 3, 2, 2, 1))) == 0 * 3 + 1 * 3 + 2 * 2 + 3 * 2 + 4 * 1
+
+
+class TestDegreesFromTorusOrders:
+    """Deligne-Lusztig: each generic degree is a signed sum over the classes
+    of S_N of character values times torus indices, computed with no hook,
+    no symbol and no library character value."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_equal_to_degree_u(self, n):
+        for lam in partitions_of(n):
+            assert degree_from_torus_orders(lam) == degree_u(lam), lam
+
+    def test_control_without_the_sign_fails(self):
+        # epsilon = 1 flips the degree of every lam whose Lusztig-Srinivasan sign is -1
+        flipped = [
+            lam
+            for n in range(7)
+            for lam in partitions_of(n)
+            if degree_from_torus_orders(lam, epsilon=lambda lam: 1) != degree_u(lam)
+        ]
+        assert len(flipped) == 12
 
 
 class TestSymbolTranslation:

@@ -17,7 +17,7 @@ from unicoh import (
     sym_class_size,
     typeb_class_size,
 )
-from unicoh.weyl_characters import _strip_moves, labels_typeb, signed_cycle_type, signed_permutations, typeb_column
+from unicoh.weyl_characters import _strip_moves, signed_cycle_type, signed_permutations, typeb_column
 
 from oracles import (
     chi_typeb_by_recursion,
@@ -302,10 +302,10 @@ class TestCharacterTables:
             character_table_typeb(-1)
 
     def test_negative_typeb_rank_has_no_labels_and_caches_nothing(self):
-        cached = labels_typeb.cache_info().currsize
+        cached = bipartitions_of.cache_info().currsize
         with pytest.raises(ValueError, match="size must be nonnegative, got -1"):
-            labels_typeb(-1)
-        assert labels_typeb.cache_info().currsize == cached
+            bipartitions_of(-1)
+        assert bipartitions_of.cache_info().currsize == cached
 
     def test_label_order_is_documented_total_order(self):
         labels = [Partition(p) for p in ((3,), (2, 1), (1, 1, 1))]
@@ -330,7 +330,8 @@ class TestOneLabelOrder:
         labels = list(bipartitions_of(n))
         assert labels == sorted(labels, key=label_sort_key) == sorted(labels, reverse=True)
         assert len(set(labels)) == len(labels)
-        assert labels_typeb(n) == tuple(labels)
+        assert bipartitions_of(n) is bipartitions_of(n)
+        assert character_table_typeb(n).labels is bipartitions_of(n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_character_table_labels(self, n):
